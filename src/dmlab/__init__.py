@@ -34,7 +34,6 @@ from .labeling import (
     from_standard,
     to_standard,
     verify,
-    verify_standard,
     wreath_labeling,
 )
 from .qw import (
@@ -52,10 +51,8 @@ from .qw import (
 from .search import SearchOptions, SearchOutcome, decide_profile, find_labeling
 from .spectral import (
     NullspaceBasis,
-    RationalMatrix,
     adjacency_matrix,
     corollary_filter,
-    lemma_ev_decides,
     nullspace_basis,
 )
 

@@ -2,15 +2,15 @@
 
 Subcommands are thin shells over single library operations.  Graphs travel
 as graph6 lines, labelings as JSON, tables as TSV.  Exit codes: 0 success,
-1 negative mathematical verdict (NotDistanceMagic / NotFound / RuledOut),
-2 usage or input error.
+1 negative mathematical verdict (NotDistanceMagic, a failed verification,
+NotFound), 2 usage or input error.  `filter` reports RuledOut in its TSV
+rows and exits 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional
 
@@ -25,19 +25,6 @@ EXIT_NEGATIVE = 1
 EXIT_ERROR = 2
 
 
-def _worker_cap() -> int:
-    """Honor DMLAB_THREADS (0 = auto).  Execution is currently sequential;
-    the variable is validated and capped for forward compatibility."""
-    raw = os.environ.get("DMLAB_THREADS", "0")
-    try:
-        v = int(raw)
-    except ValueError:
-        raise DmlabError(f"DMLAB_THREADS must be an integer, got {raw!r}") from None
-    if v < 0:
-        raise DmlabError("DMLAB_THREADS must be >= 0")
-    return v or 1
-
-
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -49,11 +36,12 @@ def _read_text(path: str) -> str:
 
 
 def _read_graph(path: str) -> Graph:
-    for line in _read_text(path).splitlines():
-        line = line.strip()
-        if line:
-            return parse_graph6(line)
-    raise DmlabError(f"no graph6 line found in {path}")
+    lines = [line.strip() for line in _read_text(path).splitlines() if line.strip()]
+    if not lines:
+        raise DmlabError(f"no graph6 line found in {path}")
+    if len(lines) > 1:
+        raise DmlabError(f"{path} holds {len(lines)} graph6 lines; expected one graph")
+    return parse_graph6(lines[0])
 
 
 def _read_centered(path: str) -> labeling.CenteredLabeling:
@@ -109,16 +97,21 @@ def _cmd_label_construct(args) -> int:
 def _cmd_label_verify(args) -> int:
     g = _read_graph(args.graph)
     lab = labeling.labeling_from_json(_read_text(args.labels))
-    if isinstance(lab, labeling.StandardLabeling):
-        report = labeling.verify_standard(g, lab)
-    else:
-        report = labeling.verify(g, lab)
+    standard = isinstance(lab, labeling.StandardLabeling)
+    report = labeling.verify(g, labeling.from_standard(lab) if standard else lab)
+    weights = report.weights
+    if standard:
+        if len({g.degree(v) for v in range(g.n)}) != 1:
+            raise DmlabError("standard-scheme verification target needs a regular graph")
+        # standard weight = (centered weight + deg(v)(n+1)) / 2; the target r(n+1)/2
+        # is centered weight 0, so the verdict and first violation carry over
+        weights = [(w + g.degree(v) * (g.n + 1)) // 2 for v, w in enumerate(weights)]
     _emit(
         {
             "verdict": "pass" if report.ok else "fail",
             "bijective": report.bijective,
             "first_violation": report.first_violation,
-            "weights": list(report.weights),
+            "weights": list(weights),
         }
     )
     return EXIT_OK if report.ok else EXIT_NEGATIVE
@@ -159,8 +152,6 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_filter(args) -> int:
-    _worker_cap()
-    any_ruled_out = False
     for line in _read_text(args.input).splitlines():
         line = line.strip()
         if not line:
@@ -168,7 +159,6 @@ def _cmd_filter(args) -> int:
         g = parse_graph6(line)
         verdict = spectral.corollary_filter(g)
         tag = "Candidate" if verdict.candidate else "RuledOut"
-        any_ruled_out = any_ruled_out or not verdict.candidate
         print(f"{line}\t{tag}\t{verdict.reason or ''}")
     return EXIT_OK
 

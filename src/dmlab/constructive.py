@@ -5,7 +5,7 @@ half of the classification: any sequence whose segments are all of type A
 (length = 3 mod 4) or type B (length = 1 mod 4), with an even number of
 type-B segments, gets a labeling with every vertex weight 0.
 
-Blocks are written exactly once each; the writer asserts single assignment
+Blocks are written exactly once each; a second write raises InvariantError,
 so a mis-scoped index range fails loudly instead of silently overwriting.
 """
 
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from .errors import NotDistanceMagicError
+from .errors import InvariantError, NotDistanceMagicError
 from .labeling import CenteredLabeling, block_labels
 from .qw import TYPE_A, TYPE_B, QWSequence, classify, segments
 
@@ -69,11 +69,13 @@ class _BlockWriter:
 
     def put(self, block: int, x_label: int, y_label: int):
         block %= self.m
-        assert block not in self.pairs, f"block {block} written twice"
+        if block in self.pairs:
+            raise InvariantError(f"block {block} written twice")
         self.pairs[block] = (x_label, y_label)
 
     def finish(self) -> CenteredLabeling:
-        assert len(self.pairs) == self.m, "some block was never labeled"
+        if len(self.pairs) != self.m:
+            raise InvariantError("some block was never labeled")
         labels = [0] * (2 * self.m)
         for i, (lx, ly) in self.pairs.items():
             labels[i] = lx

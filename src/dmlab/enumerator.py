@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, List, Sequence
 
-from .errors import EnumerationError
+from .errors import EnumerationError, InvariantError
 from .graph import Graph, canonical_certificate, is_connected, is_regular
 
 GUARANTEED_MAX_ORDER = 10
@@ -116,10 +116,6 @@ def enumerate_regular(task: EnumerationTask) -> Iterator[Graph]:
     yield from out
 
 
-def enumeration_certificates(task: EnumerationTask) -> set:
-    return {canonical_certificate(g) for g in enumerate_regular(task)}
-
-
 @dataclass(frozen=True)
 class CensusRow:
     order: int
@@ -138,7 +134,8 @@ def census_pipeline(
     rows = []
     for n in orders:
         graphs = list(enumerate_regular(EnumerationTask(n, valency, connected=True)))
-        assert all(is_regular(g, valency) for g in graphs)
+        if not all(is_regular(g, valency) for g in graphs):
+            raise InvariantError(f"enumeration at order {n} produced an irregular graph")
         candidates = tuple(g for g in graphs if corollary_filter(g).candidate)
         confirmed = 0
         if confirm_with_search:

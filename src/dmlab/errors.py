@@ -43,3 +43,7 @@ class EnumerationError(DmlabError, ValueError):
 
 class ExpansionError(DmlabError, ValueError):
     """4-cycle expansion preconditions violated."""
+
+
+class InvariantError(DmlabError, RuntimeError):
+    """An internal consistency check failed: a bug in dmlab, not bad input."""

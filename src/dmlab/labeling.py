@@ -15,9 +15,6 @@ from .errors import DmlabError, OddOrderError, OrderMismatchError
 from .graph import Graph
 from .qw import QWSequence
 
-# sums of four labels stay far inside machine-int range below this
-MAX_LABELING_ORDER = 2 ** 30
-
 SCHEMA = "dmlab/1"
 
 
@@ -30,25 +27,24 @@ def centered_label_set(n: int) -> range:
 
 @dataclass(frozen=True)
 class CenteredLabeling:
-    """Vertex-indexed labels intended to be a bijection onto centered_label_set(order).
+    """Vertex-indexed labels intended to be a bijection onto {1-n, 3-n, ..., n-1}.
 
     The bijection is not enforced at construction so that broken labelings can
-    be fed to verify() and reported.
+    be fed to verify() and reported.  An odd order is representable (the labels
+    are then even), so a standard labeling of any order converts and verifies.
     """
 
     order: int
     labels: Tuple[int, ...]
 
     def __post_init__(self):
-        if self.order > MAX_LABELING_ORDER:
-            raise DmlabError(f"order {self.order} exceeds supported bound {MAX_LABELING_ORDER}")
         if len(self.labels) != self.order:
             raise OrderMismatchError(
                 f"{len(self.labels)} labels for order {self.order}"
             )
 
     def is_bijection(self) -> bool:
-        return sorted(self.labels) == list(centered_label_set(self.order))
+        return sorted(self.labels) == list(range(1 - self.order, self.order, 2))
 
 
 @dataclass(frozen=True)
@@ -86,21 +82,6 @@ def verify(g: Graph, lab: CenteredLabeling) -> VerificationReport:
     weights = tuple(sum(lab.labels[w] for w in g.neighbors[v]) for v in range(g.n))
     bijective = lab.is_bijection()
     first = next((v for v, w in enumerate(weights) if w != 0), None)
-    return VerificationReport(weights, bijective, bijective and first is None, first)
-
-
-def verify_standard(g: Graph, lab: StandardLabeling) -> VerificationReport:
-    """Same check in the standard scheme; target is r(n+1)/2 for r-regular g."""
-    if lab.order != g.n:
-        raise OrderMismatchError(f"labeling order {lab.order} != graph order {g.n}")
-    degrees = {g.degree(v) for v in range(g.n)}
-    if len(degrees) != 1:
-        raise DmlabError("standard-scheme verification target needs a regular graph")
-    r = degrees.pop()
-    target2 = r * (g.n + 1)  # 2 * target, avoids fractions for odd r*(n+1)
-    weights = tuple(sum(lab.labels[w] for w in g.neighbors[v]) for v in range(g.n))
-    bijective = lab.is_bijection()
-    first = next((v for v, w in enumerate(weights) if 2 * w != target2), None)
     return VerificationReport(weights, bijective, bijective and first is None, first)
 
 
@@ -176,18 +157,29 @@ def labeling_to_json(lab) -> str:
 
 
 def labeling_from_json(text: str):
+    """Parse a labeling document; order and labels must be JSON integers."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise DmlabError(f"malformed labeling JSON: {exc}") from None
     try:
-        order = int(doc["order"])
+        schema = doc["schema"]
+        order = _exact_int(doc["order"])
         scheme = doc["scheme"]
-        labels = tuple(int(x) for x in doc["labels"])
-    except (KeyError, TypeError, ValueError) as exc:
+        labels = tuple(_exact_int(x) for x in doc["labels"])
+    except (KeyError, TypeError) as exc:
         raise DmlabError(f"bad labeling document: {exc}") from None
+    if schema != SCHEMA:
+        raise DmlabError(f"unsupported labeling schema {schema!r}, expected {SCHEMA!r}")
     if scheme == "centered":
         return CenteredLabeling(order, labels)
     if scheme == "standard":
         return StandardLabeling(order, labels)
     raise DmlabError(f"unknown labeling scheme {scheme!r}")
+
+
+def _exact_int(x) -> int:
+    # bool is an int subclass, and floats such as 1.9 or Infinity must not round
+    if type(x) is not int:
+        raise DmlabError(f"bad labeling document: {x!r} is not an integer")
+    return x

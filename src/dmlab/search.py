@@ -4,13 +4,14 @@ With no budget set the search is complete: a NOT_FOUND answer is a proof
 that no labeling exists.  Budgets always yield the distinct BUDGET_EXHAUSTED
 verdict instead.
 
-Pruning rules, each individually toggleable:
+Pruning rules, fixed and always applied:
   (a) zero-sum closure - a fully labeled neighborhood must sum to 0; also
       applied eagerly as value forcing when one neighbor is missing;
   (b) interval feasibility - the partial neighbor sum plus the extreme
       completions from the remaining label pool must straddle 0;
   (c) sign folding - the first assigned label is taken positive (labelings
       come in +-pairs, since negation preserves both conditions).
+The next vertex is the unlabeled one with the most labeled neighbors.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
-from .errors import NotEvenRegularError, OddOrderError
+from .errors import InvariantError, NotEvenRegularError, OddOrderError
 from .graph import Graph, is_connected
 from .labeling import CenteredLabeling, centered_label_set, verify
 from .qw import build_qw, profile_to_sequence
@@ -39,10 +40,6 @@ class SearchOptions:
     node_budget: Optional[int] = None
     time_budget: Optional[float] = None  # seconds
     prefilter: bool = False              # run corollary_filter before searching
-    prune_zero_sum: bool = True
-    prune_interval: bool = True
-    fold_sign: bool = True
-    dynamic_order: bool = True           # most-labeled-neighbors first; else index order
 
 
 @dataclass(frozen=True)
@@ -100,27 +97,23 @@ def find_labeling(g: Graph, opts: Optional[SearchOptions] = None) -> SearchOutco
     if opts.time_budget is not None:
         deadline = time.monotonic() + opts.time_budget
 
-    solutions = []
+    first: Optional[CenteredLabeling] = None  # the only labeling kept
     folded = 0
 
     def select() -> Tuple[int, Sequence[int]]:
-        if opts.prune_zero_sum:
-            # value forcing: a vertex with one open neighbor pins that neighbor
-            for u in range(n):
-                if open_nbrs[u] == 1:
-                    v = next(w for w in nbrs[u] if assigned[w] is None)
-                    forced = -psum[u]
-                    if forced in in_pool:
-                        return v, (forced,)
-                    stats["prune_forced"] += 1
-                    return v, ()
-        if opts.dynamic_order:
-            v = max(
-                (w for w in range(n) if assigned[w] is None),
-                key=lambda w: (done_nbrs[w], -w),
-            )
-        else:
-            v = next(w for w in range(n) if assigned[w] is None)
+        # value forcing: a vertex with one open neighbor pins that neighbor
+        for u in range(n):
+            if open_nbrs[u] == 1:
+                v = next(w for w in nbrs[u] if assigned[w] is None)
+                forced = -psum[u]
+                if forced in in_pool:
+                    return v, (forced,)
+                stats["prune_forced"] += 1
+                return v, ()
+        v = max(
+            (w for w in range(n) if assigned[w] is None),
+            key=lambda w: (done_nbrs[w], -w),
+        )
         return v, [x for x in labels_desc if x in in_pool]
 
     def feasible_after(v: int) -> bool:
@@ -128,34 +121,32 @@ def find_labeling(g: Graph, opts: Optional[SearchOptions] = None) -> SearchOutco
         for u in (v, *nbrs[v]):
             k = open_nbrs[u]
             if k == 0:
-                if opts.prune_zero_sum and psum[u] != 0:
+                if psum[u] != 0:
                     stats["prune_zero_sum"] += 1
                     return False
                 continue
-            if opts.prune_interval:
-                lo = psum[u] + sum(remaining[:k])
-                hi = psum[u] + sum(remaining[-k:])
-                if lo > 0 or hi < 0:
-                    stats["prune_interval"] += 1
-                    return False
+            lo = psum[u] + sum(remaining[:k])
+            hi = psum[u] + sum(remaining[-k:])
+            if lo > 0 or hi < 0:
+                stats["prune_interval"] += 1
+                return False
         return True
 
     def descend(depth: int) -> bool:
         """Returns True when find-one mode should stop."""
-        nonlocal folded
+        nonlocal first, folded
         if opts.node_budget is not None and stats["nodes"] > opts.node_budget:
             raise _Budget
         if deadline is not None and time.monotonic() > deadline:
             raise _Budget
         if depth == n:
-            if any(psum[v] != 0 for v in range(n)):
-                return False  # reachable only with pruning disabled
             folded += 1
-            solutions.append(CenteredLabeling(n, tuple(assigned)))
+            if first is None:
+                first = CenteredLabeling(n, tuple(assigned))
             return opts.mode == FIND_ONE
         stats["nodes"] += 1
         v, candidates = select()
-        if depth == 0 and opts.fold_sign:
+        if depth == 0:
             candidates = [x for x in candidates if x > 0]
         for x in candidates:
             assigned[v] = x
@@ -173,7 +164,7 @@ def find_labeling(g: Graph, opts: Optional[SearchOptions] = None) -> SearchOutco
                 done_nbrs[u] -= 1
             assigned[v] = None
             in_pool.add(x)
-            _insort(remaining, x)
+            bisect.insort(remaining, x)
         return False
 
     try:
@@ -182,26 +173,18 @@ def find_labeling(g: Graph, opts: Optional[SearchOptions] = None) -> SearchOutco
         return SearchOutcome(BUDGET_EXHAUSTED, stats=stats)
 
     if opts.mode == COUNT_ALL:
-        raw = 2 * folded if opts.fold_sign else folded
-        fold = folded if opts.fold_sign else folded // 2
-        lab = solutions[0] if solutions else None
         return SearchOutcome(
-            FOUND if solutions else NOT_FOUND,
-            labeling=lab,
-            count_folded=fold,
-            count_raw=raw,
+            FOUND if first is not None else NOT_FOUND,
+            labeling=first,
+            count_folded=folded,
+            count_raw=2 * folded,
             stats=stats,
         )
-    if solutions:
-        lab = solutions[0]
-        report = verify(g, lab)
-        assert report.ok, "internal error: search produced a non-magic labeling"
-        return SearchOutcome(FOUND, labeling=lab, stats=stats)
-    return SearchOutcome(NOT_FOUND, stats=stats)
-
-
-def _insort(sorted_list, x):
-    bisect.insort(sorted_list, x)
+    if first is None:
+        return SearchOutcome(NOT_FOUND, stats=stats)
+    if not verify(g, first).ok:
+        raise InvariantError("search produced a non-magic labeling")
+    return SearchOutcome(FOUND, labeling=first, stats=stats)
 
 
 def decide_profile(profile: Sequence[int], opts: Optional[SearchOptions] = None) -> bool:

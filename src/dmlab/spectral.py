@@ -16,16 +16,8 @@ from typing import List, Optional, Tuple
 
 from .errors import NotEvenRegularError
 from .graph import Graph
-from .labeling import CenteredLabeling, centered_label_set
 
 Vector = Tuple[Fraction, ...]
-
-
-@dataclass(frozen=True)
-class RationalMatrix:
-    rows: int
-    cols: int
-    entries: Tuple[Vector, ...]
 
 
 @dataclass(frozen=True)
@@ -43,7 +35,8 @@ class FilterVerdict:
     reason: Optional[str] = None
 
 
-def adjacency_matrix(g: Graph) -> RationalMatrix:
+def adjacency_matrix(g: Graph) -> Tuple[Vector, ...]:
+    """The adjacency matrix as a tuple of Fraction rows."""
     zero, one = Fraction(0), Fraction(1)
     rows = []
     for v in range(g.n):
@@ -51,11 +44,12 @@ def adjacency_matrix(g: Graph) -> RationalMatrix:
         for w in g.neighbors[v]:
             row[w] = one
         rows.append(tuple(row))
-    return RationalMatrix(g.n, g.n, tuple(rows))
+    return tuple(rows)
 
 
-def _rref(entries, rows, cols):
+def _rref(entries, cols):
     mat = [list(r) for r in entries]
+    rows = len(mat)
     pivots: List[int] = []
     r = 0
     for c in range(cols):
@@ -76,14 +70,16 @@ def _rref(entries, rows, cols):
     return mat, pivots
 
 
-def nullspace_basis(m: RationalMatrix) -> NullspaceBasis:
-    """Kernel basis: one vector per free column, 1 at the free coordinate."""
-    mat, pivots = _rref(m.entries, m.rows, m.cols)
+def nullspace_basis(rows: Tuple[Vector, ...]) -> NullspaceBasis:
+    """Kernel basis of a non-empty tuple of equal-length rows: one vector per
+    free column, 1 at the free coordinate."""
+    cols = len(rows[0])
+    mat, pivots = _rref(rows, cols)
     pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
+    free = [c for c in range(cols) if c not in pivot_set]
     vectors = []
     for fc in free:
-        v = [Fraction(0)] * m.cols
+        v = [Fraction(0)] * cols
         v[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
             v[pc] = -mat[r][fc]
@@ -128,15 +124,3 @@ def corollary_filter(g: Graph) -> FilterVerdict:
             False, f"coordinates {pair[0]} and {pair[1]} equal across the nullspace"
         )
     return FilterVerdict(True)
-
-
-def lemma_ev_decides(g: Graph, lab: CenteredLabeling) -> bool:
-    """Check the two kernel conditions for a GIVEN vector: A*l = 0 and the
-    entry multiset is the centered arithmetic sequence."""
-    _require_even_regular(g)
-    if lab.order != g.n:
-        return False
-    in_kernel = all(
-        sum(lab.labels[w] for w in g.neighbors[v]) == 0 for v in range(g.n)
-    )
-    return in_kernel and sorted(lab.labels) == list(centered_label_set(g.n))

@@ -3,8 +3,15 @@ import json
 import pytest
 
 from dmlab.cli import EXIT_ERROR, EXIT_NEGATIVE, EXIT_OK, main
-from dmlab.graph import canonical_certificate, parse_graph6, write_graph6
-from dmlab.labeling import labeling_from_json, labeling_to_json, verify, wreath_labeling
+from dmlab.graph import Graph, canonical_certificate, parse_graph6, write_graph6
+from dmlab.labeling import (
+    StandardLabeling,
+    labeling_from_json,
+    labeling_to_json,
+    to_standard,
+    verify,
+    wreath_labeling,
+)
 from dmlab.qw import build_qw, build_wreath, profile_to_sequence
 
 
@@ -83,6 +90,82 @@ class TestLabel:
         assert code == EXIT_NEGATIVE
         assert json.loads(out)["verdict"] == "fail"
 
+    def test_verify_standard_scheme_weights(self, capsys, tmp_path):
+        # standard weights are r(n+1)/2 = 2(n+1) = 14 on the 4-regular W(3)
+        graph_file = tmp_path / "g.g6"
+        graph_file.write_text(write_graph6(build_wreath(3)) + "\n")
+        labels_file = tmp_path / "labels.json"
+        labels_file.write_text(labeling_to_json(to_standard(wreath_labeling(3))))
+        code, out, _ = run(
+            capsys, "label", "verify", "--graph", str(graph_file), "--labels", str(labels_file)
+        )
+        assert code == EXIT_OK
+        assert json.loads(out) == {
+            "schema": "dmlab/1",
+            "verdict": "pass",
+            "bijective": True,
+            "first_violation": None,
+            "weights": [14] * 6,
+        }
+
+    def test_verify_standard_scheme_failure(self, capsys, tmp_path):
+        graph_file = tmp_path / "g.g6"
+        graph_file.write_text(write_graph6(build_wreath(3)) + "\n")
+        std = list(to_standard(wreath_labeling(3)).labels)  # (6, 5, 4, 1, 2, 3)
+        std[0], std[1] = std[1], std[0]
+        labels_file = tmp_path / "labels.json"
+        labels_file.write_text(labeling_to_json(StandardLabeling(6, tuple(std))))
+        code, out, _ = run(
+            capsys, "label", "verify", "--graph", str(graph_file), "--labels", str(labels_file)
+        )
+        assert code == EXIT_NEGATIVE
+        doc = json.loads(out)
+        assert doc["verdict"] == "fail"
+        assert doc["bijective"] is True
+        assert doc["weights"] == [15, 13, 14, 15, 13, 14]
+        assert doc["first_violation"] == 0
+
+    def test_verify_standard_scheme_odd_order(self, capsys, tmp_path):
+        # K5 is 4-regular of odd order; a standard labeling still gets a verdict
+        graph_file = tmp_path / "k5.g6"
+        graph_file.write_text("D~{\n")
+        labels_file = tmp_path / "labels.json"
+        labels_file.write_text(labeling_to_json(StandardLabeling(5, (1, 2, 3, 4, 5))))
+        code, out, _ = run(
+            capsys, "label", "verify", "--graph", str(graph_file), "--labels", str(labels_file)
+        )
+        assert code == EXIT_NEGATIVE
+        doc = json.loads(out)
+        assert (doc["bijective"], doc["first_violation"]) == (True, 0)
+        assert doc["weights"] == [14, 13, 12, 11, 10]
+
+    def test_verify_standard_scheme_needs_regular_graph(self, capsys, tmp_path):
+        graph_file = tmp_path / "p4.g6"
+        graph_file.write_text(write_graph6(Graph(4, [(0, 1), (1, 2), (2, 3)])) + "\n")
+        labels_file = tmp_path / "labels.json"
+        labels_file.write_text(labeling_to_json(StandardLabeling(4, (1, 2, 3, 4))))
+        code, out, err = run(
+            capsys, "label", "verify", "--graph", str(graph_file), "--labels", str(labels_file)
+        )
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert "regular" in err
+
+    def test_verify_infinity_label_exit_2(self, capsys, tmp_path):
+        graph_file = tmp_path / "g.g6"
+        graph_file.write_text(write_graph6(build_wreath(3)) + "\n")
+        labels_file = tmp_path / "labels.json"
+        labels_file.write_text(
+            '{"schema": "dmlab/1", "order": 6, "scheme": "centered",'
+            ' "labels": [Infinity, 3, 1, -5, -3, -1]}'
+        )
+        code, out, err = run(
+            capsys, "label", "verify", "--graph", str(graph_file), "--labels", str(labels_file)
+        )
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err.startswith("dmlab:")
+
     def test_convert_roundtrip(self, capsys, tmp_path):
         lab = wreath_labeling(3)
         f = tmp_path / "c.json"
@@ -120,6 +203,21 @@ class TestSearch:
         doc = json.loads(out)
         assert doc["count_raw"] == 2 * doc["count_folded"] > 0
 
+    def test_several_graphs_in_file_exit_2(self, capsys, tmp_path):
+        graph_file = tmp_path / "two.g6"
+        graph_file.write_text(
+            write_graph6(build_wreath(3)) + "\n\n" + write_graph6(build_wreath(4)) + "\n"
+        )
+        code, out, err = run(capsys, "search", "--graph", str(graph_file))
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert "2 graph6 lines" in err
+
+    def test_blank_lines_around_one_graph_accepted(self, capsys, tmp_path):
+        graph_file = tmp_path / "g.g6"
+        graph_file.write_text("\n  " + write_graph6(build_wreath(3)) + "  \n\n")
+        assert run(capsys, "search", "--graph", str(graph_file))[0] == EXIT_OK
+
     def test_budget_exhausted_exit_2(self, capsys, tmp_path):
         graph_file = tmp_path / "g.g6"
         graph_file.write_text(write_graph6(build_wreath(6)) + "\n")
@@ -140,16 +238,13 @@ class TestFilter:
         assert rows[0][1] == "Candidate"
         assert rows[1][1] == "RuledOut"
 
-    def test_threads_env_validated(self, capsys, tmp_path, monkeypatch):
+    def test_all_ruled_out_still_exits_0(self, capsys, tmp_path):
+        # RuledOut is a row verdict, not a negative exit code
         f = tmp_path / "in.g6"
-        f.write_text(write_graph6(build_wreath(3)) + "\n")
-        monkeypatch.setenv("DMLAB_THREADS", "zebra")
-        code, _, err = run(capsys, "filter", "--input", str(f))
-        assert code == EXIT_ERROR
-        assert "DMLAB_THREADS" in err
-        monkeypatch.setenv("DMLAB_THREADS", "2")
-        code, _, _ = run(capsys, "filter", "--input", str(f))
+        f.write_text("D~{\nD~{\n")
+        code, out, _ = run(capsys, "filter", "--input", str(f))
         assert code == EXIT_OK
+        assert [row.split("\t")[1] for row in out.strip().splitlines()] == ["RuledOut"] * 2
 
 
 class TestEnumerate:

@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +13,7 @@ from dmlab.constructive import (
     construct_tilde_labeling,
     plan,
 )
-from dmlab.errors import NotDistanceMagicError
+from dmlab.errors import InvariantError, NotDistanceMagicError
 from dmlab.labeling import (
     block_labels,
     centered_label_set,
@@ -214,3 +218,36 @@ class TestLargeSoundness:
             lab = construct_labeling(seq)
             assert verify(build_qw(seq), lab).ok
             assert sorted(lab.labels) == list(centered_label_set(2 * seq.m))
+
+
+class TestInvariantChecks:
+    """Internal checks raise InvariantError, so they survive `python -O`."""
+
+    SCRIPT = (
+        "from dmlab.constructive import _BlockWriter\n"
+        "from dmlab.errors import InvariantError\n"
+        "w = _BlockWriter(3)\n"
+        "w.put(1, 1, -1)\n"
+        "try:\n"
+        "    w.put(4, 3, -3)\n"
+        "except InvariantError as exc:\n"
+        "    print('raised:', exc)\n"
+    )
+
+    def test_double_block_write_raises_under_optimize(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", self.SCRIPT],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "raised: block 1 written twice"
+
+    def test_unlabeled_block_raises(self):
+        from dmlab.constructive import _BlockWriter
+
+        w = _BlockWriter(2)
+        w.put(0, 1, -1)
+        with pytest.raises(InvariantError, match="never labeled"):
+            w.finish()

@@ -1,9 +1,13 @@
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmlab.constructive import construct_labeling
-from dmlab.errors import OddOrderError, OrderMismatchError
+from dmlab.errors import DmlabError, OddOrderError, OrderMismatchError
+from dmlab.graph import parse_graph6
 from dmlab.labeling import (
     CenteredLabeling,
     StandardLabeling,
@@ -15,7 +19,6 @@ from dmlab.labeling import (
     labeling_to_json,
     to_standard,
     verify,
-    verify_standard,
     wreath_labeling,
 )
 from dmlab.qw import build_qw, build_wreath, profile_to_sequence, validate_sequence
@@ -77,9 +80,9 @@ class TestSchemeConversion:
         g = build_wreath(3)
         lab = wreath_labeling(3)
         assert verify(g, lab).ok
-        std_report = verify_standard(g, to_standard(lab))
-        assert std_report.ok
-        assert all(w == 2 * (6 + 1) for w in std_report.weights)
+        std = to_standard(lab)
+        assert verify(g, from_standard(std)).ok
+        assert all(sum(std.labels[w] for w in g.neighbors[v]) == 2 * (6 + 1) for v in range(6))
 
     def test_centered_set_odd_order_rejected(self):
         with pytest.raises(OddOrderError):
@@ -183,8 +186,88 @@ class TestJson:
         assert labeling_from_json(labeling_to_json(std)) == std
 
     def test_schema_field(self):
-        import json
-
         doc = json.loads(labeling_to_json(wreath_labeling(3)))
         assert doc["schema"] == "dmlab/1"
         assert doc["scheme"] == "centered"
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("order", 6.0),
+            ("order", True),
+            ("order", "6"),
+            ("labels", [1.9, 3, 1, -5, -3, -1]),
+            ("labels", ["-1", 3, 1, -5, -3, 5]),
+            ("labels", [True, 3, 1, -5, -3, -1]),
+            ("labels", [float("inf"), 3, 1, -5, -3, -1]),
+            ("labels", [float("nan"), 3, 1, -5, -3, -1]),
+            ("labels", "531"),
+            ("schema", "dmlab/2"),
+            ("schema", None),
+        ],
+    )
+    def test_inexact_fields_rejected(self, field, value):
+        doc = json.loads(labeling_to_json(wreath_labeling(3)))
+        doc[field] = value
+        with pytest.raises(DmlabError):
+            labeling_from_json(json.dumps(doc))
+
+    def test_missing_schema_rejected(self):
+        doc = json.loads(labeling_to_json(wreath_labeling(3)))
+        del doc["schema"]
+        with pytest.raises(DmlabError, match="schema"):
+            labeling_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[1, 2]", "7", "null", '"x"', "[" * 5000, "9" * 5000],
+        ids=["list", "int", "null", "string", "deep-nesting", "huge-int"],
+    )
+    def test_non_documents_rejected(self, text):
+        with pytest.raises(DmlabError):
+            labeling_from_json(text)
+
+
+class TestBoundaryFuzz:
+    """Arbitrary text at the two parsers raises DmlabError and nothing else."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text())
+    def test_labeling_from_json_text(self, text):
+        try:
+            labeling_from_json(text)
+        except DmlabError:
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.fixed_dictionaries(
+            {},
+            optional={
+                key: st.recursive(
+                    st.none()
+                    | st.booleans()
+                    | st.integers()
+                    | st.floats()
+                    | st.sampled_from([float("inf"), float("-inf"), float("nan"), 1.9, "-1"])
+                    | st.text(max_size=8),
+                    lambda inner: st.lists(inner, max_size=6),
+                    max_leaves=8,
+                )
+                for key in ("schema", "order", "scheme", "labels")
+            },
+        )
+    )
+    def test_labeling_from_json_documents(self, doc):
+        try:
+            labeling_from_json(json.dumps(doc))
+        except DmlabError:
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text() | st.text(alphabet=[chr(c) for c in range(58, 131)], max_size=12))
+    def test_parse_graph6_text(self, text):
+        try:
+            parse_graph6(text)
+        except DmlabError:
+            pass

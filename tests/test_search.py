@@ -1,7 +1,10 @@
+import itertools
+import tracemalloc
+
 import pytest
 
 from dmlab.errors import NotEvenRegularError, OddOrderError
-from dmlab.graph import Graph
+from dmlab.graph import Graph, parse_graph6
 from dmlab.labeling import verify
 from dmlab.qw import build_qw, build_wreath, profile_to_sequence
 from dmlab.search import (
@@ -73,12 +76,23 @@ class TestCountMode:
         assert outcome.count_raw > 0
 
     def test_unfolded_raw_matches(self):
+        # the raw count undoes the sign fold: it equals the number of all labelings
         folded = find_labeling(build_wreath(3), SearchOptions(mode=COUNT_ALL))
-        unfolded = find_labeling(
-            build_wreath(3), SearchOptions(mode=COUNT_ALL, fold_sign=False)
-        )
-        assert unfolded.count_raw == folded.count_raw
-        assert unfolded.count_raw % 2 == 0
+        assert folded.count_raw == brute_force_count(build_wreath(3))
+        assert folded.count_raw % 2 == 0
+
+    def test_memory_does_not_grow_with_answers(self):
+        # 3456 labelings on (3,3); keeping them all traced about 0.45 MB
+        g = build_qw(profile_to_sequence((3, 3)))
+        tracemalloc.start()
+        try:
+            outcome = find_labeling(g, SearchOptions(mode=COUNT_ALL))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert outcome.count_raw == 3456
+        assert verify(g, outcome.labeling).ok
+        assert peak < 100_000
 
     def test_count_zero_on_non_magic(self):
         outcome = find_labeling(
@@ -88,31 +102,50 @@ class TestCountMode:
         assert outcome.count_raw == 0
 
 
-class TestPruningSoundness:
-    INSTANCES = [
-        build_wreath(3),
-        build_wreath(4),
-        build_wreath(5),
-        build_qw(profile_to_sequence((4,))),
-        build_qw(profile_to_sequence((2, 3))),
-        C4,
-    ]
-
-    @pytest.mark.parametrize(
-        "disabled",
-        ["prune_zero_sum", "prune_interval", "fold_sign", "dynamic_order"],
+def brute_force_count(g):
+    """Independent oracle: every permutation of the centered labels, kept when
+    A*l = 0 (every neighborhood sums to zero)."""
+    labels = range(1 - g.n, g.n, 2)
+    return sum(
+        all(sum(perm[w] for w in g.neighbors[v]) == 0 for v in range(g.n))
+        for perm in itertools.permutations(labels)
     )
-    def test_toggling_rules_preserves_verdicts(self, disabled):
-        for g in self.INSTANCES:
-            baseline = find_labeling(g).verdict
-            opts = SearchOptions(**{disabled: False})
-            assert find_labeling(g, opts).verdict == baseline
 
-    def test_toggling_rules_preserves_counts(self):
-        baseline = find_labeling(C4, SearchOptions(mode=COUNT_ALL)).count_raw
-        for disabled in ["prune_zero_sum", "prune_interval", "fold_sign"]:
-            opts = SearchOptions(mode=COUNT_ALL, **{disabled: False})
-            assert find_labeling(C4, opts).count_raw == baseline
+
+# the six connected quartic graphs of order 8 (OEIS A006820), graph6
+QUARTIC_8 = ["G?~vf_", "G@vnf_", "GBj^V_", "GBn^FC", "GJem^_", "GJemvG"]
+ORACLE_INSTANCES = {
+    "C4": C4,
+    "W3": build_wreath(3),
+    **{f"quartic8-{s}": parse_graph6(s) for s in QUARTIC_8},
+}
+
+
+class TestPruningSoundness:
+    """The pruning rules, the sign fold and the vertex order are fixed; their
+    soundness is checked against exhaustive enumeration of all labelings."""
+
+    @pytest.fixture(scope="class")
+    def oracle(self):
+        return {name: brute_force_count(g) for name, g in ORACLE_INSTANCES.items()}
+
+    def test_oracle_sees_both_verdicts(self, oracle):
+        assert oracle["C4"] == 8 and oracle["W3"] > 0
+        assert sorted(oracle[f"quartic8-{s}"] > 0 for s in QUARTIC_8) == [False] * 5 + [True]
+
+    @pytest.mark.parametrize("name", list(ORACLE_INSTANCES))
+    def test_count_raw_matches_brute_force(self, name, oracle):
+        outcome = find_labeling(ORACLE_INSTANCES[name], SearchOptions(mode=COUNT_ALL))
+        assert outcome.count_raw == oracle[name]
+        assert outcome.verdict == (FOUND if oracle[name] else NOT_FOUND)
+
+    @pytest.mark.parametrize("name", list(ORACLE_INSTANCES))
+    def test_find_one_matches_brute_force(self, name, oracle):
+        g = ORACLE_INSTANCES[name]
+        outcome = find_labeling(g)
+        assert outcome.verdict == (FOUND if oracle[name] else NOT_FOUND)
+        if oracle[name]:
+            assert verify(g, outcome.labeling).ok
 
 
 class TestDecideProfile:

@@ -6,12 +6,11 @@ import pytest
 from conftest import random_graph
 from dmlab.errors import NotEvenRegularError
 from dmlab.graph import Graph
-from dmlab.labeling import CenteredLabeling, wreath_labeling
+from dmlab.labeling import CenteredLabeling, verify, wreath_labeling
 from dmlab.qw import build_wreath
 from dmlab.spectral import (
     adjacency_matrix,
     corollary_filter,
-    lemma_ev_decides,
     nullspace_basis,
     pinned_equal_pair,
 )
@@ -21,7 +20,7 @@ K5 = Graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
 
 
 def mat_vec(m, v):
-    return [sum(a * b for a, b in zip(row, v)) for row in m.entries]
+    return [sum(a * b for a, b in zip(row, v)) for row in m]
 
 
 def recombine(vectors, rng, steps=6):
@@ -48,7 +47,7 @@ def recombine(vectors, rng, steps=6):
 class TestAdjacency:
     def test_c4(self):
         m = adjacency_matrix(C4)
-        assert [[int(x) for x in row] for row in m.entries] == [
+        assert [[int(x) for x in row] for row in m] == [
             [0, 1, 0, 1],
             [1, 0, 1, 0],
             [0, 1, 0, 1],
@@ -57,13 +56,13 @@ class TestAdjacency:
 
     def test_k5_is_j_minus_i(self):
         m = adjacency_matrix(K5)
-        assert all(m.entries[i][j] == (0 if i == j else 1) for i in range(5) for j in range(5))
+        assert all(m[i][j] == (0 if i == j else 1) for i in range(5) for j in range(5))
 
     def test_row_sums_are_degrees(self, rng):
         for _ in range(20):
             g = random_graph(rng, rng.randint(1, 12))
             m = adjacency_matrix(g)
-            assert [int(sum(row)) for row in m.entries] == [g.degree(v) for v in range(g.n)]
+            assert [int(sum(row)) for row in m] == [g.degree(v) for v in range(g.n)]
 
 
 class TestNullspace:
@@ -97,20 +96,12 @@ class TestNullspace:
 
 
 def _in_span(vectors, target):
-    # append target and compare nullspace ranks via a fresh elimination
-    from dmlab.spectral import RationalMatrix
-
+    # append target and compare ranks (pivot counts) via a fresh elimination
     target = tuple(Fraction(x) for x in target)
-    rows = tuple(list(v) for v in vectors)
-    m1 = RationalMatrix(len(vectors), len(target), tuple(tuple(r) for r in rows))
-    m2 = RationalMatrix(len(vectors) + 1, len(target), tuple((*m1.entries, target)))
-    rank1 = len(nullspace_basis_rank(m1))
-    rank2 = len(nullspace_basis_rank(m2))
+    rows = tuple(tuple(v) for v in vectors)
+    rank1 = len(nullspace_basis(rows).pivot_columns)
+    rank2 = len(nullspace_basis((*rows, target)).pivot_columns)
     return rank1 == rank2
-
-
-def nullspace_basis_rank(m):
-    return nullspace_basis(m).pivot_columns
 
 
 class TestFilter:
@@ -150,15 +141,27 @@ class TestFilter:
 
 
 class TestLemmaEv:
+    """Lemma EV: a centered labeling is distance magic iff it lies in ker A and
+    is a bijection onto the centered label set; verify() decides exactly that."""
+
     def test_wreath_labeling_accepted(self):
-        assert lemma_ev_decides(build_wreath(3), wreath_labeling(3))
+        g, lab = build_wreath(3), wreath_labeling(3)
+        assert verify(g, lab).ok
+        assert all(x == 0 for x in mat_vec(adjacency_matrix(g), lab.labels))
 
     def test_perturbed_rejected(self):
         labels = list(wreath_labeling(3).labels)
         labels[0], labels[1] = labels[1], labels[0]
-        assert not lemma_ev_decides(build_wreath(3), CenteredLabeling(6, tuple(labels)))
+        assert not verify(build_wreath(3), CenteredLabeling(6, tuple(labels))).ok
 
     def test_c4_hand_labeling(self):
         lab = CenteredLabeling(4, (-3, -1, 3, 1))
         # weights: w(0)=l(1)+l(3)=0, w(1)=l(0)+l(2)=0, ... all zero by hand
-        assert lemma_ev_decides(C4, lab)
+        assert verify(C4, lab).ok
+
+    def test_kernel_vector_that_is_not_a_bijection_rejected(self):
+        # (1, 1, -1, -1) lies in ker A of C4 but repeats labels
+        lab = CenteredLabeling(4, (1, 1, -1, -1))
+        report = verify(C4, lab)
+        assert report.weights == (0, 0, 0, 0)
+        assert not report.bijective and not report.ok
