@@ -4,7 +4,9 @@ Subcommands are thin shells over single library operations.  Graphs travel
 as graph6 lines, labelings as JSON, tables as TSV.  Exit codes: 0 success,
 1 negative mathematical verdict (NotDistanceMagic, a failed verification,
 NotFound), 2 usage or input error.  `filter` reports RuledOut in its TSV
-rows and exits 0.
+rows and exits 0; it checks every line before it prints any row, and a
+malformed or irregular line makes it print no rows and exit 2, naming the
+line's 1-based number.
 """
 
 from __future__ import annotations
@@ -152,14 +154,19 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_filter(args) -> int:
-    for line in _read_text(args.input).splitlines():
+    rows = []
+    for number, line in enumerate(_read_text(args.input).splitlines(), 1):
         line = line.strip()
         if not line:
             continue
-        g = parse_graph6(line)
-        verdict = spectral.corollary_filter(g)
+        try:
+            verdict = spectral.corollary_filter(parse_graph6(line))
+        except DmlabError as exc:
+            raise DmlabError(f"line {number}: {exc}") from None
         tag = "Candidate" if verdict.candidate else "RuledOut"
-        print(f"{line}\t{tag}\t{verdict.reason or ''}")
+        rows.append(f"{line}\t{tag}\t{verdict.reason or ''}")
+    for row in rows:
+        print(row)
     return EXIT_OK
 
 

@@ -1,9 +1,22 @@
 """Complete isomorph-free generation of small connected regular graphs.
 
-Strategy: row-by-row edge completion over labeled graphs with two symmetry
+Strategy: row-by-row edge completion over labeled graphs with three symmetry
 quotients baked in (vertex 0's neighborhood is fixed to {1..r}; vertices not
-yet incident to any edge are introduced in index order), then canonical
-certificate deduplication.  Guaranteed complete for order <= 10.
+yet incident to any edge are introduced in index order; a finished labeled
+graph is kept only if vertex 0 has the largest vertex invariant and 1..r
+come in non-increasing order of it), then canonical certificate
+deduplication of the kept leaves.  Guaranteed complete for order <= 10.
+
+The third quotient loses no class.  The vertex invariant (triangles at v,
+then the descending common-neighbour counts of v with the vertices at
+distance 2) is unchanged by relabeling.  Take any graph of the class, call a
+vertex of largest invariant 0 and list its neighbours as 1..r in
+non-increasing invariant order.  Number the remaining vertices in the order
+in which rows 1, 2, ... first reach them, a vertex that no row reaches
+numbering itself when its own row comes.  The first two quotients generate
+exactly this labeled copy, and the third keeps it because its test reads
+only the invariants of 0..r, which the renumbering of the others does not
+touch.
 """
 
 from __future__ import annotations
@@ -81,6 +94,8 @@ def enumerate_regular(task: EnumerationTask) -> Iterator[Graph]:
         return True
 
     def leaf():
+        if not _root_is_largest(adj, r):
+            return
         g = Graph(n, ((u, w) for u in range(n) for w in adj[u] if u < w))
         if task.connected and not is_connected(g):
             return
@@ -114,6 +129,31 @@ def enumerate_regular(task: EnumerationTask) -> Iterator[Graph]:
 
     complete_row(1, r + 1)
     yield from out
+
+
+def _vertex_invariant(adj: List[set], v: int):
+    """(triangles at v, descending common-neighbour counts with the vertices at distance 2)."""
+    near = adj[v]
+    common = {}
+    twice_triangles = 0
+    for u in near:
+        for w in adj[u]:
+            if w in near:
+                twice_triangles += 1
+            elif w != v:
+                common[w] = common.get(w, 0) + 1
+    return twice_triangles // 2, sorted(common.values(), reverse=True)
+
+
+def _root_is_largest(adj: List[set], r: int) -> bool:
+    """Vertex 0 has the largest invariant and 1..r follow in non-increasing order."""
+    top = previous = _vertex_invariant(adj, 0)
+    for v in range(1, r + 1):
+        current = _vertex_invariant(adj, v)
+        if current > previous:
+            return False
+        previous = current
+    return all(_vertex_invariant(adj, v) <= top for v in range(r + 1, len(adj)))
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,14 @@ from typing import Iterable, Tuple
 
 from .errors import Graph6Error, OrderTooLargeError
 
-# canonical_certificate guarantees correctness only up to this order
+# canonical_certificate searches its whole tree, so it is exact at every
+# order; this bound only caps its cost, which grows quickly with the order
 CERTIFICATE_MAX_ORDER = 20
 
-# graph6 short form covers 0 <= n <= 62; we additionally require n >= 1
-GRAPH6_MAX_ORDER = 62
+# graph6 short form covers 0 <= n <= 62 and the long form 63 <= n <= 258047;
+# we additionally require n >= 1
+GRAPH6_SHORT_MAX_ORDER = 62
+GRAPH6_MAX_ORDER = 258047
 
 
 class Graph:
@@ -88,8 +91,9 @@ def is_connected(g: Graph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# graph6 (short form: header byte 63+n, upper triangle column-major,
-# 6-bit groups offset by 63, zero padding)
+# graph6 (header: byte 63+n for n <= 62, else '~' and n in three 6-bit groups
+# offset by 63; body: upper triangle column-major, 6-bit groups offset by 63,
+# zero padding)
 # ---------------------------------------------------------------------------
 
 def _g6_body_length(n: int) -> int:
@@ -97,19 +101,21 @@ def _g6_body_length(n: int) -> int:
 
 
 def parse_graph6(line: str) -> Graph:
-    """Decode one header-less short-form graph6 line."""
+    """Decode one header-less graph6 line (short form, or long form for order 63..258047)."""
     text = line.rstrip("\n")
     if not text:
         raise Graph6Error("empty graph6 line")
     first = ord(text[0])
     if first == 126:
-        raise Graph6Error("long-form graph6 (order > 62) is not supported")
-    if not 63 <= first <= 125:
+        n = _parse_long_order(text)
+        body = text[4:]
+    elif 63 <= first <= 125:
+        n = first - 63
+        body = text[1:]
+    else:
         raise Graph6Error(f"invalid graph6 order byte {text[0]!r}")
-    n = first - 63
     if n < 1:
         raise Graph6Error("graphs of order 0 are not supported")
-    body = text[1:]
     if len(body) != _g6_body_length(n):
         raise Graph6Error(
             f"graph6 body has {len(body)} characters, expected {_g6_body_length(n)} for order {n}"
@@ -133,17 +139,37 @@ def parse_graph6(line: str) -> Graph:
     return Graph(n, edges)
 
 
+def _parse_long_order(text: str) -> int:
+    """Order from a long-form header: '~' and three 6-bit groups, 63 <= n <= 258047."""
+    if text[1:2] == "~":
+        raise Graph6Error(f"graph6 orders above {GRAPH6_MAX_ORDER} are not supported")
+    if len(text) < 4:
+        raise Graph6Error("truncated long-form graph6 header")
+    n = 0
+    for ch in text[1:4]:
+        val = ord(ch) - 63
+        if not 0 <= val <= 63:
+            raise Graph6Error(f"graph6 character {ch!r} out of range")
+        n = (n << 6) | val
+    if n <= GRAPH6_SHORT_MAX_ORDER:
+        raise Graph6Error(f"long-form graph6 header for order {n}; orders <= 62 use the short form")
+    return n
+
+
 def write_graph6(g: Graph) -> str:
-    """Encode as a canonical short-form graph6 line (order <= 62)."""
+    """Encode as a canonical graph6 line: short form up to order 62, long form above."""
     if g.n > GRAPH6_MAX_ORDER:
-        raise Graph6Error(f"order {g.n} exceeds the short-form graph6 limit of {GRAPH6_MAX_ORDER}")
+        raise Graph6Error(f"order {g.n} exceeds the graph6 limit of {GRAPH6_MAX_ORDER}")
     bits = []
     for j in range(1, g.n):
         for i in range(j):
             bits.append(1 if (i, j) in g.edges else 0)
     while len(bits) % 6:
         bits.append(0)
-    out = [chr(63 + g.n)]
+    if g.n <= GRAPH6_SHORT_MAX_ORDER:
+        out = [chr(63 + g.n)]
+    else:
+        out = ["~"] + [chr(63 + ((g.n >> shift) & 63)) for shift in (12, 6, 0)]
     for k in range(0, len(bits), 6):
         val = 0
         for b in bits[k:k + 6]:
@@ -155,7 +181,8 @@ def write_graph6(g: Graph) -> str:
 # ---------------------------------------------------------------------------
 # Canonical certificate via individualization-refinement.  The certificate of
 # a graph is the graph6 line of its canonically relabeled copy, as bytes, so
-# equal certificates <=> isomorphic graphs (guaranteed for n <= 20).
+# equal certificates <=> isomorphic graphs.  The search visits every leaf of
+# the tree, so this holds at every order; CERTIFICATE_MAX_ORDER caps the cost.
 # ---------------------------------------------------------------------------
 
 def _refine(neighbors, partition):
@@ -199,10 +226,15 @@ def _adjacency_key(adj_sets, order):
 
 
 def canonical_certificate(g: Graph, max_order: int = CERTIFICATE_MAX_ORDER) -> bytes:
-    """Isomorphism-invariant certificate (guaranteed up to order 20)."""
+    """Isomorphism-invariant certificate, exact at every order.
+
+    It keeps the least adjacency key over the whole search tree, whose size
+    grows quickly with the order; ``max_order`` caps that cost.
+    """
     if g.n > max_order:
         raise OrderTooLargeError(
-            f"canonical certificate is only guaranteed up to order {max_order}, got {g.n}"
+            f"canonical certificate is limited to order {max_order} to bound its cost "
+            f"(it is exact at every order), got {g.n}"
         )
     neighbors = g.neighbors
     adj_sets = [set(a) for a in neighbors]

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dmlab
 from dmlab.cli import EXIT_ERROR, EXIT_NEGATIVE, EXIT_OK, main
 from dmlab.graph import Graph, canonical_certificate, parse_graph6, write_graph6
 from dmlab.labeling import (
@@ -64,6 +69,24 @@ class TestLabel:
         labels_file.write_text(out)
         graph_file = tmp_path / "g.g6"
         graph_file.write_text(write_graph6(build_qw(profile_to_sequence((7,)))) + "\n")
+        code, out, _ = run(
+            capsys, "label", "verify", "--graph", str(graph_file), "--labels", str(labels_file)
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["verdict"] == "pass"
+
+    def test_long_form_build_verify_pipeline(self, capsys, tmp_path):
+        # order 74: the graph travels as long-form graph6
+        profile = "11,3,5,3,7,5,3"
+        code, out, _ = run(capsys, "qw", "build", "--profile", profile)
+        assert code == EXIT_OK
+        assert out.startswith("~")
+        graph_file = tmp_path / "g.g6"
+        graph_file.write_text(out)
+        code, out, _ = run(capsys, "label", "construct", "--profile", profile)
+        assert code == EXIT_OK
+        labels_file = tmp_path / "labels.json"
+        labels_file.write_text(out)
         code, out, _ = run(
             capsys, "label", "verify", "--graph", str(graph_file), "--labels", str(labels_file)
         )
@@ -238,6 +261,25 @@ class TestFilter:
         assert rows[0][1] == "Candidate"
         assert rows[1][1] == "RuledOut"
 
+    def test_bad_line_prints_no_rows(self, capsys, tmp_path):
+        # every line is checked before any row is printed
+        w3 = write_graph6(build_wreath(3))
+        f = tmp_path / "in.g6"
+        f.write_text(f"{w3}\nbad!\n{w3}\n")
+        code, out, err = run(capsys, "filter", "--input", str(f))
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert "line 2:" in err
+
+    def test_irregular_line_prints_no_rows(self, capsys, tmp_path):
+        path = Graph(3, [(0, 1), (1, 2)])
+        f = tmp_path / "in.g6"
+        f.write_text(f"{write_graph6(build_wreath(3))}\n\n{write_graph6(path)}\n")
+        code, out, err = run(capsys, "filter", "--input", str(f))
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert "line 3:" in err
+
     def test_all_ruled_out_still_exits_0(self, capsys, tmp_path):
         # RuledOut is a row verdict, not a negative exit code
         f = tmp_path / "in.g6"
@@ -347,6 +389,17 @@ class TestParsing:
 
     def test_unknown_command_exit_2(self, capsys):
         assert run(capsys, "frobnicate")[0] == EXIT_ERROR
+
+    def test_python_dash_m(self, capsys):
+        src = Path(dmlab.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "dmlab", "qw", "build", "--profile", "3"],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert proc.returncode == EXIT_OK
+        _, out, _ = run(capsys, "qw", "build", "--profile", "3")
+        assert proc.stdout == out
 
     def test_help_exit_0(self, capsys):
         assert run(capsys, "--help")[0] == EXIT_OK

@@ -1,6 +1,12 @@
+import hashlib
+import itertools
+
+import networkx as nx
 import pytest
 
+import dmlab.enumerator as enumerator
 from conftest import to_nx
+from dmlab.cli import main
 from dmlab.enumerator import (
     CensusRow,
     EnumerationTask,
@@ -15,6 +21,20 @@ from dmlab.qw import build_wreath
 # against the cubic/quartic census literature)
 CONNECTED_QUARTIC = {5: 1, 6: 1, 7: 2, 8: 6, 9: 16, 10: 59}
 
+# OEIS A002851: connected cubic graphs on n vertices
+CONNECTED_CUBIC = {4: 1, 6: 2, 8: 5, 10: 19}
+
+# OEIS A006821: connected 5-regular graphs on n vertices
+CONNECTED_QUINTIC = {6: 1, 8: 3}
+
+# SHA-256 of `dmlab enumerate --order 10 --connected --sorted` stdout (with
+# --valency 3 for the second), recorded before the vertex-invariant quotient
+# was added; the canonical forms of the classes must not change
+SORTED_ORDER_10_SHA256 = {
+    4: "223c085c6dc61383c497ad4ed9bc563f6a0f34e50854781e8ff37a5d9a3a579e",
+    3: "89536fe87c20bd07de498652220a03fd5339e7c2004b6e84e108bc9cda17fea8",
+}
+
 
 class TestCounts:
     @pytest.mark.parametrize("n,count", sorted(CONNECTED_QUARTIC.items()))
@@ -26,6 +46,21 @@ class TestCounts:
         # 3-regular connected: K4 at n=4, K_{3,3} and the prism at n=6
         assert len(list(enumerate_regular(EnumerationTask(4, 3)))) == 1
         assert len(list(enumerate_regular(EnumerationTask(6, 3)))) == 2
+
+    @pytest.mark.parametrize("n,count", sorted(CONNECTED_CUBIC.items()))
+    def test_connected_cubic_oeis(self, n, count):
+        assert len(list(enumerate_regular(EnumerationTask(n, 3, connected=True)))) == count
+
+    @pytest.mark.parametrize("n,count", sorted(CONNECTED_QUINTIC.items()))
+    def test_connected_quintic_oeis(self, n, count):
+        assert len(list(enumerate_regular(EnumerationTask(n, 5, connected=True)))) == count
+
+    def test_all_quartic_order_10_oeis(self):
+        # OEIS A033301: quartic graphs, connected or not; at n = 10 the one
+        # disconnected class is K5 + K5
+        graphs = list(enumerate_regular(EnumerationTask(10, 4, connected=False)))
+        assert len(graphs) == 60
+        assert sum(not is_connected(g) for g in graphs) == 1
 
     def test_cycle_is_unique_2_regular(self):
         for n in range(3, 11):
@@ -55,13 +90,32 @@ class TestOutputProperties:
         assert len(set(certs)) == len(certs)
 
     def test_matches_networkx_isomorphism_classes(self):
-        import itertools
+        for n in (8, 10):
+            graphs = [to_nx(g) for g in enumerate_regular(EnumerationTask(n, 4, connected=True))]
+            assert len(graphs) == CONNECTED_QUARTIC[n]
+            for g1, g2 in itertools.combinations(graphs, 2):
+                assert not nx.is_isomorphic(g1, g2)
 
-        import networkx as nx
+    @pytest.mark.parametrize("valency", sorted(SORTED_ORDER_10_SHA256))
+    def test_sorted_output_pinned(self, capsys, valency):
+        argv = ["enumerate", "--order", "10", "--valency", str(valency), "--connected", "--sorted"]
+        assert main(argv) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest()
+        assert digest == SORTED_ORDER_10_SHA256[valency]
 
-        graphs = list(enumerate_regular(EnumerationTask(8, 4, connected=True)))
-        for g1, g2 in itertools.combinations(graphs, 2):
-            assert not nx.is_isomorphic(to_nx(g1), to_nx(g2))
+    def test_few_certificate_calls(self, monkeypatch):
+        # the vertex-invariant quotient certifies few labeled leaves; without
+        # it order 10 makes 21,739 certificate calls
+        calls = []
+
+        def counted(g):
+            calls.append(g.n)
+            return canonical_certificate(g)
+
+        monkeypatch.setattr(enumerator, "canonical_certificate", counted)
+        graphs = list(enumerate_regular(EnumerationTask(10, 4, connected=True)))
+        assert len(graphs) == 59
+        assert 59 <= len(calls) <= 1000
 
     def test_wreath_appears(self):
         for k in (3, 4, 5):

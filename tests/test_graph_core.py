@@ -79,13 +79,36 @@ class TestGraph6:
         g = random_graph(random.Random(seed), n)
         assert parse_graph6(write_graph6(g)).edges == g.edges
 
-    def test_rejects_order_above_62(self):
-        with pytest.raises(Graph6Error):
-            write_graph6(Graph(63, []))
+    @pytest.mark.parametrize("n", [63, 74, 130])
+    def test_long_form_matches_networkx(self, rng, n):
+        g = random_graph(rng, n, p=0.1)
+        line = nx.to_graph6_bytes(to_nx(g), header=False).decode().strip()
+        assert line.startswith("~")
+        assert write_graph6(g) == line
+        assert parse_graph6(line) == g
 
-    def test_rejects_long_form(self):
+    def test_short_form_up_to_62(self):
+        assert write_graph6(Graph(62, [])).startswith("}")
+        assert write_graph6(Graph(63, [])).startswith("~??~")
+
+    def test_rejects_order_above_258047(self):
+        with pytest.raises(Graph6Error, match="258047"):
+            write_graph6(Graph(258048, []))
+        # '~~' opens the 8-byte header of orders above the limit
+        with pytest.raises(Graph6Error, match="above 258047"):
+            parse_graph6("~~?????~" + "?" * 10)
+        # the largest long-form order is accepted as a header; only the body is short
+        with pytest.raises(Graph6Error, match="for order 258047"):
+            parse_graph6("~}~~")
+
+    def test_rejects_truncated_long_form(self):
         with pytest.raises(Graph6Error):
             parse_graph6("~??")
+
+    def test_rejects_long_form_for_short_order(self):
+        # order 6 must use the short form "E???"
+        with pytest.raises(Graph6Error, match="short form"):
+            parse_graph6("~??E???")
 
     def test_rejects_bad_length(self):
         with pytest.raises(Graph6Error):
