@@ -56,8 +56,10 @@ def _read_centered(path: str) -> labeling.CenteredLabeling:
 def _sequence_from_args(args) -> qw.QWSequence:
     if args.profile is not None:
         return qw.profile_to_sequence(qw.parse_profile(args.profile))
-    bits = [int(ch) for ch in args.sequence.replace(",", "")]
-    return qw.validate_sequence(bits)
+    bits = args.sequence.replace(",", "")
+    if set(bits) - {"0", "1"}:
+        raise DmlabError(f"malformed sequence {args.sequence!r}: entries must be 0 or 1")
+    return qw.validate_sequence([int(ch) for ch in bits])
 
 
 def _emit(doc: dict):
@@ -172,12 +174,11 @@ def _cmd_filter(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     task = EnumerationTask(order=args.order, valency=args.valency, connected=args.connected)
-    lines = [write_graph6(g) for g in enumerate_regular(task)]
+    graphs = enumerate_regular(task)
     if args.sorted:
-        lines = [
-            c.decode("ascii")
-            for c in sorted(canonical_certificate(parse_graph6(s)) for s in lines)
-        ]
+        lines = sorted(canonical_certificate(g).decode("ascii") for g in graphs)
+    else:
+        lines = (write_graph6(g) for g in graphs)
     for s in lines:
         print(s)
     return EXIT_OK
@@ -195,7 +196,10 @@ def _cmd_expand(args) -> int:
     g = _read_graph(args.graph)
     lab = _read_centered(args.labels)
     if args.cycle:
-        verts = tuple(int(tok) for tok in args.cycle.split(","))
+        try:
+            verts = tuple(int(tok) for tok in args.cycle.split(","))
+        except ValueError:
+            verts = ()
         if len(verts) != 4:
             raise DmlabError("--cycle needs exactly four comma-separated vertices")
         g2, lab2 = kfk.expand(g, lab, kfk.ZeroAntipodal4Cycle(verts))

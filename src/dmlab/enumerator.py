@@ -39,7 +39,7 @@ class EnumerationTask:
 
 
 def enumerate_regular(task: EnumerationTask) -> Iterator[Graph]:
-    """Yield all r-regular graphs of the given order, one per isomorphism class."""
+    """Yield one r-regular graph of the given order per isomorphism class, as found."""
     n, r = task.order, task.valency
     if r < 0 or n < 1:
         raise EnumerationError(f"bad task: order {n}, valency {r}")
@@ -76,7 +76,6 @@ def enumerate_regular(task: EnumerationTask) -> Iterator[Graph]:
         add(0, v)
 
     seen = set()
-    out: List[Graph] = []
 
     def deficits_feasible(v: int) -> bool:
         # every later vertex must still find enough distinct partners
@@ -102,13 +101,13 @@ def enumerate_regular(task: EnumerationTask) -> Iterator[Graph]:
         cert = canonical_certificate(g)
         if cert not in seen:
             seen.add(cert)
-            out.append(g)
+            yield g
 
     def complete_row(v: int, fresh: int):
         # fresh = smallest vertex with no incident edge yet (untouched suffix)
         if v == n:
             if all(d == r for d in deg):
-                leaf()
+                yield from leaf()
             return
         if v == fresh:
             fresh = v + 1  # vertex introduces itself; symmetry makes it the smallest
@@ -123,12 +122,11 @@ def enumerate_regular(task: EnumerationTask) -> Iterator[Graph]:
                 for u in (*old, *new):
                     add(v, u)
                 if deficits_feasible(v):
-                    complete_row(v + 1, fresh + q)
+                    yield from complete_row(v + 1, fresh + q)
                 for u in (*old, *new):
                     drop(v, u)
 
-    complete_row(1, r + 1)
-    yield from out
+    yield from complete_row(1, r + 1)
 
 
 def _vertex_invariant(adj: List[set], v: int):

@@ -4,24 +4,35 @@ With no budget set the search is complete: a NOT_FOUND answer is a proof
 that no labeling exists.  Budgets always yield the distinct BUDGET_EXHAUSTED
 verdict instead.
 
-Pruning rules, fixed and always applied:
-  (a) zero-sum closure - a fully labeled neighborhood must sum to 0; also
-      applied eagerly as value forcing when one neighbor is missing;
-  (b) interval feasibility - the partial neighbor sum plus the extreme
+By Lemma EV a labeling is a kernel vector of the adjacency matrix that is a
+bijection onto the centered labels.  Every kernel vector is fixed by its
+free coordinates in the basis of `spectral.nullspace_basis`: pivot p is
+sum_k vectors[k][p] * l(free[k]).  So the search branches on the free
+coordinates, in ascending order, over all unused labels, and derives each
+pivot once the last free coordinate in its sum is labeled; that reaches
+every labeling.  A complete neighborhood then sums to 0 by construction.
+
+Rules, fixed and always applied:
+  (a) kernel derivation - a derived label must be an unused centered label
+      (so an odd integer); a pivot with no free term, such as any coordinate
+      of a trivial kernel, is 0 on the whole kernel: NOT_FOUND at once;
+  (b) interval feasibility - on the branched vertex, the derived vertices
+      and their neighbors, the partial neighbor sum plus the extreme
       completions from the remaining label pool must straddle 0;
-  (c) sign folding - the first assigned label is taken positive (labelings
-      come in +-pairs, since negation preserves both conditions).
-The next vertex is the unlabeled one with the most labeled neighbors.
+  (c) sign folding - the first free coordinate is labeled positive
+      (labelings come in +-pairs, since negation preserves both conditions).
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
-from .errors import InvariantError, NotEvenRegularError, OddOrderError
+from . import spectral
+from .errors import DmlabError, InvariantError, NotEvenRegularError, OddOrderError
 from .graph import Graph, is_connected
 from .labeling import CenteredLabeling, centered_label_set, verify
 from .qw import build_qw, profile_to_sequence
@@ -39,7 +50,13 @@ class SearchOptions:
     mode: str = FIND_ONE
     node_budget: Optional[int] = None
     time_budget: Optional[float] = None  # seconds
-    prefilter: bool = False              # run corollary_filter before searching
+    prefilter: bool = False              # run the kernel filter before searching
+
+    def __post_init__(self):
+        if self.node_budget is not None and self.node_budget < 0:
+            raise DmlabError(f"node budget must be >= 0, got {self.node_budget}")
+        if self.time_budget is not None and not 0 <= self.time_budget < math.inf:
+            raise DmlabError(f"time budget must be finite and >= 0, got {self.time_budget}")
 
 
 @dataclass(frozen=True)
@@ -58,12 +75,7 @@ class _Budget(Exception):
 def find_labeling(g: Graph, opts: Optional[SearchOptions] = None) -> SearchOutcome:
     opts = opts or SearchOptions()
     n = g.n
-    degrees = {g.degree(v) for v in range(n)}
-    if len(degrees) != 1:
-        raise NotEvenRegularError("search requires a regular graph")
-    r = degrees.pop()
-    if r % 2:
-        raise NotEvenRegularError(f"valency {r} is odd; no distance magic labeling exists")
+    r = spectral.require_even_regular(g)
     if n % 2:
         raise OddOrderError(
             f"order {n} is odd; the centered label set needs an even order"
@@ -71,120 +83,97 @@ def find_labeling(g: Graph, opts: Optional[SearchOptions] = None) -> SearchOutco
     if not is_connected(g):
         raise NotEvenRegularError("search requires a connected graph")
 
-    stats = {"nodes": 0, "prune_zero_sum": 0, "prune_interval": 0, "prune_forced": 0}
+    stats = {"nodes": 0, "prune_interval": 0, "prune_kernel": 0}
+    basis = spectral.nullspace_basis(spectral.adjacency_matrix(g))
+    if opts.prefilter and not spectral.basis_verdict(basis, n).candidate:
+        stats["prefilter_ruled_out"] = 1
+        return _outcome(g, opts, None, 0, stats)
 
-    if opts.prefilter:
-        from .spectral import corollary_filter
-
-        verdict = corollary_filter(g)
-        if not verdict.candidate:
-            stats["prefilter_ruled_out"] = 1
-            if opts.mode == COUNT_ALL:
-                return SearchOutcome(NOT_FOUND, count_folded=0, count_raw=0, stats=stats)
-            return SearchOutcome(NOT_FOUND, stats=stats)
+    pivots = set(basis.pivot_columns)
+    free = [c for c in range(n) if c not in pivots]
+    # derive[k] holds (p, scale, terms) for each pivot p whose last free term is
+    # free[k]: l(p) = sum(c * l(w) for w, c in terms) / scale
+    derive: list = [[] for _ in free]
+    for p in basis.pivot_columns:
+        coeffs = [vec[p] for vec in basis.vectors]
+        nonzero = [k for k, c in enumerate(coeffs) if c]
+        if not nonzero:  # l(p) = 0 on the whole kernel, but centered labels are odd
+            return _outcome(g, opts, None, 0, stats)
+        scale = math.lcm(*(coeffs[k].denominator for k in nonzero))
+        terms = [(free[k], int(coeffs[k] * scale)) for k in nonzero]
+        derive[nonzero[-1]].append((p, scale, terms))
 
     nbrs = g.neighbors
     labels_desc = sorted(centered_label_set(n), key=lambda x: (-abs(x), -x))
-
     assigned: list = [None] * n
-    psum = [0] * n                 # sum of labels over assigned neighbors
-    open_nbrs = [r] * n            # unassigned neighbor count
-    done_nbrs = [0] * n            # assigned neighbor count (ordering heuristic)
     remaining = sorted(labels_desc)  # ascending pool of unused labels
     in_pool = set(remaining)
-
-    deadline = None
-    if opts.time_budget is not None:
-        deadline = time.monotonic() + opts.time_budget
-
+    deadline = None if opts.time_budget is None else time.monotonic() + opts.time_budget
     first: Optional[CenteredLabeling] = None  # the only labeling kept
     folded = 0
 
-    def select() -> Tuple[int, Sequence[int]]:
-        # value forcing: a vertex with one open neighbor pins that neighbor
-        for u in range(n):
-            if open_nbrs[u] == 1:
-                v = next(w for w in nbrs[u] if assigned[w] is None)
-                forced = -psum[u]
-                if forced in in_pool:
-                    return v, (forced,)
-                stats["prune_forced"] += 1
-                return v, ()
-        v = max(
-            (w for w in range(n) if assigned[w] is None),
-            key=lambda w: (done_nbrs[w], -w),
-        )
-        return v, [x for x in labels_desc if x in in_pool]
+    def put(v: int, x: int, placed: list):
+        assigned[v] = x
+        in_pool.discard(x)
+        remaining.remove(x)
+        placed.append(v)
 
-    def feasible_after(v: int) -> bool:
-        # check v and its neighbors against the pruning rules
-        for u in (v, *nbrs[v]):
-            k = open_nbrs[u]
-            if k == 0:
-                if psum[u] != 0:
-                    stats["prune_zero_sum"] += 1
-                    return False
-                continue
-            lo = psum[u] + sum(remaining[:k])
-            hi = psum[u] + sum(remaining[-k:])
-            if lo > 0 or hi < 0:
+    def settle(k: int, placed: list) -> bool:
+        # derive the pivots that free[k] completes, then apply the interval rule
+        for p, scale, terms in derive[k]:
+            s = sum(c * assigned[w] for w, c in terms)
+            if s % scale or s // scale not in in_pool:
+                stats["prune_kernel"] += 1
+                return False
+            put(p, s // scale, placed)
+        for u in {u for v in placed for u in (v, *nbrs[v])}:
+            known = [assigned[w] for w in nbrs[u] if assigned[w] is not None]
+            k_open = r - len(known)
+            if k_open and not sum(remaining[:k_open]) <= -sum(known) <= sum(remaining[-k_open:]):
                 stats["prune_interval"] += 1
                 return False
         return True
 
-    def descend(depth: int) -> bool:
+    def descend(k: int) -> bool:
         """Returns True when find-one mode should stop."""
         nonlocal first, folded
         if opts.node_budget is not None and stats["nodes"] > opts.node_budget:
             raise _Budget
         if deadline is not None and time.monotonic() > deadline:
             raise _Budget
-        if depth == n:
+        if k == len(free):
             folded += 1
             if first is None:
                 first = CenteredLabeling(n, tuple(assigned))
             return opts.mode == FIND_ONE
         stats["nodes"] += 1
-        v, candidates = select()
-        if depth == 0:
-            candidates = [x for x in candidates if x > 0]
-        for x in candidates:
-            assigned[v] = x
-            in_pool.discard(x)
-            remaining.remove(x)
-            for u in nbrs[v]:
-                psum[u] += x
-                open_nbrs[u] -= 1
-                done_nbrs[u] += 1
-            if feasible_after(v) and descend(depth + 1):
+        for x in labels_desc:
+            if x not in in_pool or (k == 0 and x < 0):
+                continue
+            placed: list = []
+            put(free[k], x, placed)
+            if settle(k, placed) and descend(k + 1):
                 return True
-            for u in nbrs[v]:
-                psum[u] -= x
-                open_nbrs[u] += 1
-                done_nbrs[u] -= 1
-            assigned[v] = None
-            in_pool.add(x)
-            bisect.insort(remaining, x)
+            for v in placed:
+                in_pool.add(assigned[v])
+                bisect.insort(remaining, assigned[v])
+                assigned[v] = None
         return False
 
     try:
         descend(0)
     except _Budget:
         return SearchOutcome(BUDGET_EXHAUSTED, stats=stats)
+    return _outcome(g, opts, first, folded, stats)
 
-    if opts.mode == COUNT_ALL:
-        return SearchOutcome(
-            FOUND if first is not None else NOT_FOUND,
-            labeling=first,
-            count_folded=folded,
-            count_raw=2 * folded,
-            stats=stats,
-        )
-    if first is None:
-        return SearchOutcome(NOT_FOUND, stats=stats)
-    if not verify(g, first).ok:
+
+def _outcome(g: Graph, opts: SearchOptions, first, folded: int, stats) -> SearchOutcome:
+    if first is not None and not verify(g, first).ok:
         raise InvariantError("search produced a non-magic labeling")
-    return SearchOutcome(FOUND, labeling=first, stats=stats)
+    verdict = NOT_FOUND if first is None else FOUND
+    if opts.mode == COUNT_ALL:
+        return SearchOutcome(verdict, first, folded, 2 * folded, stats)
+    return SearchOutcome(verdict, first, stats=stats)
 
 
 def decide_profile(profile: Sequence[int], opts: Optional[SearchOptions] = None) -> bool:

@@ -87,13 +87,14 @@ def nullspace_basis(rows: Tuple[Vector, ...]) -> NullspaceBasis:
     return NullspaceBasis(len(vectors), tuple(vectors), tuple(pivots))
 
 
-def _require_even_regular(g: Graph) -> int:
+def require_even_regular(g: Graph) -> int:
+    """The valency of a regular graph of even valency; NotEvenRegularError otherwise."""
     degrees = {g.degree(v) for v in range(g.n)}
     if len(degrees) != 1:
         raise NotEvenRegularError("graph is not regular")
     r = degrees.pop()
     if r % 2:
-        raise NotEvenRegularError(f"valency {r} is odd")
+        raise NotEvenRegularError(f"valency {r} is odd; no distance magic labeling exists")
     return r
 
 
@@ -114,11 +115,15 @@ def corollary_filter(g: Graph) -> FilterVerdict:
     """Rule out graphs whose adjacency kernel cannot contain a centered
     labeling: trivial kernel, or some coordinate pair pinned equal on the
     whole kernel (a labeling is injective, so pinned-equal is fatal)."""
-    _require_even_regular(g)
-    basis = nullspace_basis(adjacency_matrix(g))
+    require_even_regular(g)
+    return basis_verdict(nullspace_basis(adjacency_matrix(g)), g.n)
+
+
+def basis_verdict(basis: NullspaceBasis, n: int) -> FilterVerdict:
+    """The filter's verdict on a kernel basis of an order-n graph."""
     if basis.dimension == 0:
         return FilterVerdict(False, "trivial nullspace")
-    pair = pinned_equal_pair(basis.vectors, g.n)
+    pair = pinned_equal_pair(basis.vectors, n)
     if pair is not None:
         return FilterVerdict(
             False, f"coordinates {pair[0]} and {pair[1]} equal across the nullspace"

@@ -23,3 +23,26 @@ def random_graph(rng: random.Random, n: int, p: float = 0.4) -> Graph:
 @pytest.fixture
 def rng():
     return random.Random(0xD31AB)
+
+
+def relabel(g: Graph, seed: int) -> Graph:
+    """The graph with its vertices renamed by a seeded random permutation."""
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return g.relabel(perm)
+
+
+# the 59 connected quartic graphs of order 10 (OEIS A006820), as canonical
+# certificates in ascending order
+QUARTIC_10 = [
+    'I?@|urg{?', 'I?C}^Ro{?', 'I?C}vJg{?', 'I?Dlmrg{?', 'I?DnLrW{?', 'I?D~FEwu?',
+    'I?Ku]Zo{?', 'I?Ku]jg{?', 'I?Kumjgy?', 'I?Kumrcy?', 'I?K}Mfg{?', 'I?K}efcy?',
+    'I?K}fFK{?', 'I?K}fFSy?', 'I?LS~Jg{?', 'I?LT]jg{?', 'I?LTmrcy?', 'I?LTujcy?',
+    'I?LU\\jg{?', 'I?L\\efcy?', 'I?L\\fFK{?', 'I?L\\fFSy?', 'I?L\\fFWx?', 'I?L^FE[{?',
+    'I?L^FEsu?', 'I?L^FEwt?', 'I?LteNWy?', 'I?LteVSy?', 'I?LuMewy?', 'I?LuUesy?',
+    'I?LuUewx?', 'I?L}Efam?', 'I@K}ENI{?', 'I@K}MRPw_', 'I@L[]b`w_', 'I@L[]f_wG',
+    'I@L[uN_wG', 'I@L\\EVat?', 'I@L\\MRPw_', 'I@L\\UJPw_', 'I@L\\UJQwO', 'I@L\\UNOwG',
+    'I@L]DNI{?', 'I@L]DVE{?', 'I@L]ENam?', 'I@L]EVal?', 'I@L{UFB{?', 'I@L{UFPw_',
+    'I@L}EFBm?', 'I@O{uVc{?', 'I@O{ufcy?', 'I@O{vFSy?', 'I@P{tRPw_', 'I@P{tRQwO',
+    'I@P{tbIwO', 'I@P|dfGqG', 'I@TctNK{?', 'I@TctNSy?', 'I@T|EEqqO',
+]

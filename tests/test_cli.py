@@ -60,6 +60,15 @@ class TestQw:
         code, _, _ = run(capsys, "qw", "build", "--sequence", "001")
         assert code == EXIT_ERROR
 
+    @pytest.mark.parametrize(
+        "argv", [("qw", "build"), ("qw", "classify"), ("label", "construct")]
+    )
+    def test_non_bit_sequence_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--sequence", "01a1")
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err.startswith("dmlab: malformed sequence '01a1'")
+
 
 class TestLabel:
     def test_construct_verify_pipeline(self, capsys, tmp_path):
@@ -248,6 +257,23 @@ class TestSearch:
         assert code == EXIT_ERROR
         assert json.loads(out)["verdict"] == "budget-exhausted"
 
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--budget-nodes", "-1", "node budget"),
+            ("--budget-secs", "nan", "time budget"),
+            ("--budget-secs", "inf", "time budget"),
+            ("--budget-secs", "-1", "time budget"),
+        ],
+    )
+    def test_bad_budget_exit_2(self, capsys, tmp_path, flag, value, message):
+        graph_file = tmp_path / "g.g6"
+        graph_file.write_text(write_graph6(build_wreath(3)) + "\n")
+        code, out, err = run(capsys, "search", "--graph", str(graph_file), f"{flag}={value}")
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err.startswith(f"dmlab: {message} must be")
+
 
 class TestFilter:
     def test_tsv_verdicts(self, capsys, tmp_path):
@@ -353,6 +379,22 @@ class TestExpand:
         )
         assert code == EXIT_ERROR
         assert "four" in err
+
+    def test_non_integer_cycle_exit_2(self, capsys, tmp_path):
+        graph_file = tmp_path / "g.g6"
+        graph_file.write_text(write_graph6(build_wreath(3)) + "\n")
+        labels_file = tmp_path / "labels.json"
+        labels_file.write_text(labeling_to_json(wreath_labeling(3)))
+        code, out, err = run(
+            capsys,
+            "expand",
+            "--graph", str(graph_file),
+            "--labels", str(labels_file),
+            "--cycle", "1,x,3,4",
+        )
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err.startswith("dmlab: --cycle needs exactly four")
 
 
 class TestDot:

@@ -5,7 +5,7 @@ import networkx as nx
 import pytest
 
 import dmlab.enumerator as enumerator
-from conftest import to_nx
+from conftest import QUARTIC_10, to_nx
 from dmlab.cli import main
 from dmlab.enumerator import (
     CensusRow,
@@ -103,6 +103,10 @@ class TestOutputProperties:
         digest = hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest()
         assert digest == SORTED_ORDER_10_SHA256[valency]
 
+    def test_quartic_10_fixture_is_the_sorted_output(self):
+        text = "".join(s + "\n" for s in QUARTIC_10)
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == SORTED_ORDER_10_SHA256[4]
+
     def test_few_certificate_calls(self, monkeypatch):
         # the vertex-invariant quotient certifies few labeled leaves; without
         # it order 10 makes 21,739 certificate calls
@@ -116,6 +120,22 @@ class TestOutputProperties:
         graphs = list(enumerate_regular(EnumerationTask(10, 4, connected=True)))
         assert len(graphs) == 59
         assert 59 <= len(calls) <= 1000
+
+    def test_first_class_comes_before_the_walk_ends(self, monkeypatch):
+        # the generator yields each class as soon as it is certified
+        calls = []
+
+        def counted(g):
+            calls.append(g.n)
+            return canonical_certificate(g)
+
+        monkeypatch.setattr(enumerator, "canonical_certificate", counted)
+        total = sum(1 for _ in enumerate_regular(EnumerationTask(10)))
+        full_run = len(calls)
+        calls.clear()
+        next(enumerate_regular(EnumerationTask(10)))
+        assert total == 59
+        assert 1 <= len(calls) < full_run
 
     def test_wreath_appears(self):
         for k in (3, 4, 5):

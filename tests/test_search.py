@@ -3,6 +3,8 @@ import tracemalloc
 
 import pytest
 
+from conftest import QUARTIC_10, relabel
+from dmlab import spectral
 from dmlab.errors import NotEvenRegularError, OddOrderError
 from dmlab.graph import Graph, parse_graph6
 from dmlab.labeling import verify
@@ -56,9 +58,10 @@ class TestFindLabeling:
 
     def test_budget_exhausted_distinct_verdict(self):
         outcome = find_labeling(
-            build_qw(profile_to_sequence((2, 5))), SearchOptions(node_budget=3)
+            build_qw(profile_to_sequence((7,))), SearchOptions(mode=COUNT_ALL, node_budget=3)
         )
         assert outcome.verdict == BUDGET_EXHAUSTED
+        assert outcome.count_raw is None
 
     def test_prefilter_agrees(self):
         for parts in [(3,), (4,), (2, 2), (3, 3)]:
@@ -66,6 +69,21 @@ class TestFindLabeling:
             plain = find_labeling(g).verdict
             pre = find_labeling(g, SearchOptions(prefilter=True)).verdict
             assert plain == pre
+
+    @pytest.mark.parametrize("prefilter", [False, True])
+    def test_one_elimination_per_search(self, monkeypatch, prefilter):
+        # the search and its prefilter share one kernel basis
+        calls = []
+        original = spectral.nullspace_basis
+
+        def counted(rows):
+            calls.append(len(rows))
+            return original(rows)
+
+        monkeypatch.setattr(spectral, "nullspace_basis", counted)
+        for parts in [(3,), (4,), (2, 2), (3, 3)]:
+            find_labeling(build_qw(profile_to_sequence(parts)), SearchOptions(prefilter=prefilter))
+        assert calls == [6, 8, 8, 12]
 
 
 class TestCountMode:
@@ -118,6 +136,8 @@ ORACLE_INSTANCES = {
     "C4": C4,
     "W3": build_wreath(3),
     **{f"quartic8-{s}": parse_graph6(s) for s in QUARTIC_8},
+    "W3-relabeled": relabel(build_wreath(3), 1),
+    "quartic8-G?~vf_-relabeled": relabel(parse_graph6("G?~vf_"), 2),
 }
 
 
@@ -132,6 +152,8 @@ class TestPruningSoundness:
     def test_oracle_sees_both_verdicts(self, oracle):
         assert oracle["C4"] == 8 and oracle["W3"] > 0
         assert sorted(oracle[f"quartic8-{s}"] > 0 for s in QUARTIC_8) == [False] * 5 + [True]
+        assert oracle["W3-relabeled"] == oracle["W3"]
+        assert oracle["quartic8-G?~vf_-relabeled"] == oracle["quartic8-G?~vf_"] > 0
 
     @pytest.mark.parametrize("name", list(ORACLE_INSTANCES))
     def test_count_raw_matches_brute_force(self, name, oracle):
@@ -146,6 +168,24 @@ class TestPruningSoundness:
         assert outcome.verdict == (FOUND if oracle[name] else NOT_FOUND)
         if oracle[name]:
             assert verify(g, outcome.labeling).ok
+
+
+# sign-folded labeling counts of the connected quartic graphs of order 10,
+# pinned from a search that did not use the kernel (it closed neighborhoods
+# by zero-sum bookkeeping); every other graph of QUARTIC_10 has none
+QUARTIC_10_FOLDED = {"I?Ku]Zo{?": 1920}
+
+
+class TestQuarticOrder10Counts:
+    @pytest.mark.parametrize("relabeled", [False, True])
+    def test_count_folded_pinned(self, relabeled):
+        for seed, s in enumerate(QUARTIC_10):
+            g = parse_graph6(s)
+            if relabeled:
+                g = relabel(g, seed)
+            outcome = find_labeling(g, SearchOptions(mode=COUNT_ALL))
+            assert outcome.count_folded == QUARTIC_10_FOLDED.get(s, 0), s
+            assert outcome.verdict == (FOUND if s in QUARTIC_10_FOLDED else NOT_FOUND)
 
 
 class TestDecideProfile:

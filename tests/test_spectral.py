@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_graph
+from conftest import QUARTIC_10, random_graph
 from dmlab.errors import NotEvenRegularError
-from dmlab.graph import Graph
+from dmlab.graph import Graph, parse_graph6
 from dmlab.labeling import CenteredLabeling, verify, wreath_labeling
-from dmlab.qw import build_wreath
+from dmlab.qw import build_qw, build_wreath, profile_to_sequence
 from dmlab.spectral import (
     adjacency_matrix,
     corollary_filter,
@@ -93,6 +93,64 @@ class TestNullspace:
             m = adjacency_matrix(g)
             basis = nullspace_basis(m)
             assert len(basis.pivot_columns) + basis.dimension == g.n
+
+
+PRIME = 2**31 - 1
+
+
+def rank_mod_prime(g):
+    """Rank of the adjacency matrix over GF(2^31 - 1), by its own elimination;
+    never above the rank over the rationals, so a kernel found too small fails."""
+    rows = [[1 if w in g.neighbors[v] else 0 for w in range(g.n)] for v in range(g.n)]
+    rank = 0
+    for c in range(g.n):
+        pivot = next((i for i in range(rank, g.n) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][c], PRIME - 2, PRIME)
+        rows[rank] = [x * inv % PRIME for x in rows[rank]]
+        for i in range(g.n):
+            if i != rank and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [(a - f * b) % PRIME for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def qw_profiles(max_m):
+    """Every segment profile (parts >= 2) with 3 <= m <= max_m."""
+    def parts_of(m):
+        if m == 0:
+            yield ()
+        for a in range(2, m + 1):
+            for rest in parts_of(m - a):
+                yield (a, *rest)
+
+    return [p for m in range(3, max_m + 1) for p in parts_of(m)]
+
+
+class TestKernelDimension:
+    """The kernel is as large as an independent rank computation says, so a
+    search that branches only on its free coordinates misses no labeling."""
+
+    def check(self, g):
+        assert nullspace_basis(adjacency_matrix(g)).dimension == g.n - rank_mod_prime(g)
+
+    def test_connected_quartic_order_10(self):
+        for s in QUARTIC_10:
+            self.check(parse_graph6(s))
+
+    def test_quasi_wreath_profiles(self):
+        profiles = qw_profiles(8)
+        assert len(profiles) == 32
+        for parts in profiles:
+            self.check(build_qw(profile_to_sequence(parts)))
+
+    def test_random_graphs(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            self.check(random_graph(rng, rng.randint(1, 14), rng.choice([0.2, 0.4, 0.6])))
 
 
 def _in_span(vectors, target):
