@@ -58,39 +58,19 @@ def enumerate_regular(task: EnumerationTask) -> Iterator[Graph]:
         return
 
     adj: List[set] = [set() for _ in range(n)]
-    deg = [0] * n
 
     def add(u, v):
         adj[u].add(v)
         adj[v].add(u)
-        deg[u] += 1
-        deg[v] += 1
 
     def drop(u, v):
         adj[u].discard(v)
         adj[v].discard(u)
-        deg[u] -= 1
-        deg[v] -= 1
 
     for v in range(1, r + 1):
         add(0, v)
 
     seen = set()
-
-    def deficits_feasible(v: int) -> bool:
-        # every later vertex must still find enough distinct partners
-        for u in range(v + 1, n):
-            need = r - deg[u]
-            if need == 0:
-                continue
-            avail = sum(
-                1
-                for w in range(v + 1, n)
-                if w != u and deg[w] < r and w not in adj[u]
-            )
-            if need > avail:
-                return False
-        return True
 
     def leaf():
         if not _root_is_largest(adj, r):
@@ -106,23 +86,20 @@ def enumerate_regular(task: EnumerationTask) -> Iterator[Graph]:
     def complete_row(v: int, fresh: int):
         # fresh = smallest vertex with no incident edge yet (untouched suffix)
         if v == n:
-            if all(d == r for d in deg):
+            if all(len(a) == r for a in adj):
                 yield from leaf()
             return
         if v == fresh:
             fresh = v + 1  # vertex introduces itself; symmetry makes it the smallest
-        need = r - deg[v]
-        if need < 0:
-            return
-        touched = [u for u in range(v + 1, fresh) if deg[u] < r and u not in adj[v]]
+        need = r - len(adj[v])
+        touched = [u for u in range(v + 1, fresh) if len(adj[u]) < r and u not in adj[v]]
         max_new = min(need, n - fresh)
         for q in range(max_new + 1):
             new = list(range(fresh, fresh + q))
             for old in combinations(touched, need - q):
                 for u in (*old, *new):
                     add(v, u)
-                if deficits_feasible(v):
-                    yield from complete_row(v + 1, fresh + q)
+                yield from complete_row(v + 1, fresh + q)
                 for u in (*old, *new):
                     drop(v, u)
 
@@ -162,10 +139,8 @@ class CensusRow:
     dm_confirmed: int
 
 
-def census_pipeline(
-    orders: Sequence[int], valency: int = 4, confirm_with_search: bool = True
-) -> List[CensusRow]:
-    """Per order: enumerate, filter, and (optionally) search-confirm."""
+def census_pipeline(orders: Sequence[int], valency: int = 4) -> List[CensusRow]:
+    """Per order: enumerate, filter, and search-confirm."""
     from .search import FOUND, find_labeling
     from .spectral import corollary_filter
 
@@ -175,10 +150,8 @@ def census_pipeline(
         if not all(is_regular(g, valency) for g in graphs):
             raise InvariantError(f"enumeration at order {n} produced an irregular graph")
         candidates = tuple(g for g in graphs if corollary_filter(g).candidate)
-        confirmed = 0
-        if confirm_with_search:
-            for g in candidates:
-                if n % 2 == 0 and find_labeling(g).verdict == FOUND:
-                    confirmed += 1
+        confirmed = sum(
+            1 for g in candidates if n % 2 == 0 and find_labeling(g).verdict == FOUND
+        )
         rows.append(CensusRow(n, len(graphs), candidates, confirmed))
     return rows

@@ -12,7 +12,8 @@ from typing import Iterable, Tuple
 from .errors import Graph6Error, OrderTooLargeError
 
 # canonical_certificate searches its whole tree, so it is exact at every
-# order; this bound only caps its cost, which grows quickly with the order
+# order.  This cap rejects larger graphs but does not bound the cost: the tree
+# is not pruned by automorphisms and has n! leaves on the complete graph K_n
 CERTIFICATE_MAX_ORDER = 20
 
 # graph6 short form covers 0 <= n <= 62 and the long form 63 <= n <= 258047;
@@ -160,21 +161,21 @@ def write_graph6(g: Graph) -> str:
     """Encode as a canonical graph6 line: short form up to order 62, long form above."""
     if g.n > GRAPH6_MAX_ORDER:
         raise Graph6Error(f"order {g.n} exceeds the graph6 limit of {GRAPH6_MAX_ORDER}")
-    bits = []
-    for j in range(1, g.n):
-        for i in range(j):
-            bits.append(1 if (i, j) in g.edges else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    if g.n <= GRAPH6_SHORT_MAX_ORDER:
-        out = [chr(63 + g.n)]
+    return _pack_graph6(g.n, _adjacency_key([set(a) for a in g.neighbors], range(g.n)))
+
+
+def _pack_graph6(n: int, bits) -> str:
+    """graph6 line of order n from its upper-triangle bits, column-major."""
+    if n <= GRAPH6_SHORT_MAX_ORDER:
+        out = [chr(63 + n)]
     else:
-        out = ["~"] + [chr(63 + ((g.n >> shift) & 63)) for shift in (12, 6, 0)]
+        out = ["~"] + [chr(63 + ((n >> shift) & 63)) for shift in (12, 6, 0)]
     for k in range(0, len(bits), 6):
+        group = bits[k:k + 6]
         val = 0
-        for b in bits[k:k + 6]:
+        for b in group:
             val = (val << 1) | b
-        out.append(chr(63 + val))
+        out.append(chr(63 + (val << (6 - len(group)))))  # zero padding
     return "".join(out)
 
 
@@ -182,7 +183,7 @@ def write_graph6(g: Graph) -> str:
 # Canonical certificate via individualization-refinement.  The certificate of
 # a graph is the graph6 line of its canonically relabeled copy, as bytes, so
 # equal certificates <=> isomorphic graphs.  The search visits every leaf of
-# the tree, so this holds at every order; CERTIFICATE_MAX_ORDER caps the cost.
+# the tree, so this holds at every order.
 # ---------------------------------------------------------------------------
 
 def _refine(neighbors, partition):
@@ -216,41 +217,41 @@ def _refine(neighbors, partition):
 
 
 def _adjacency_key(adj_sets, order):
-    """Upper-triangle bit tuple of the graph relabeled so order[i] -> i."""
+    """Upper-triangle bit list, column-major, of the graph relabeled so order[i] -> i."""
     bits = []
     for j in range(1, len(order)):
         oj = order[j]
         for i in range(j):
             bits.append(1 if order[i] in adj_sets[oj] else 0)
-    return tuple(bits)
+    return bits
 
 
-def canonical_certificate(g: Graph, max_order: int = CERTIFICATE_MAX_ORDER) -> bytes:
+def canonical_certificate(g: Graph) -> bytes:
     """Isomorphism-invariant certificate, exact at every order.
 
-    It keeps the least adjacency key over the whole search tree, whose size
-    grows quickly with the order; ``max_order`` caps that cost.
+    It is the graph6 line of the least adjacency key over the whole search
+    tree.  No automorphism prunes that tree, so a highly symmetric graph costs
+    up to n! leaves (K_9 takes seconds) even below CERTIFICATE_MAX_ORDER.
     """
-    if g.n > max_order:
+    if g.n > CERTIFICATE_MAX_ORDER:
         raise OrderTooLargeError(
-            f"canonical certificate is limited to order {max_order} to bound its cost "
-            f"(it is exact at every order), got {g.n}"
+            f"canonical certificate is limited to order {CERTIFICATE_MAX_ORDER}, got {g.n}; "
+            "its search tree is unpruned and reaches n! leaves on symmetric graphs"
         )
     neighbors = g.neighbors
     adj_sets = [set(a) for a in neighbors]
     degrees = sorted(set(len(a) for a in neighbors))
     initial = [[v for v in range(g.n) if len(neighbors[v]) == d] for d in degrees]
 
-    best = [None]  # (key, order)
+    best = [None]
 
     def descend(partition):
         partition = _refine(neighbors, partition)
         target = next((i for i, c in enumerate(partition) if len(c) > 1), None)
         if target is None:
-            order = [c[0] for c in partition]
-            key = _adjacency_key(adj_sets, order)
-            if best[0] is None or key < best[0][0]:
-                best[0] = (key, order)
+            key = _adjacency_key(adj_sets, [c[0] for c in partition])
+            if best[0] is None or key < best[0]:
+                best[0] = key
             return
         cell = partition[target]
         for v in cell:
@@ -262,8 +263,4 @@ def canonical_certificate(g: Graph, max_order: int = CERTIFICATE_MAX_ORDER) -> b
             descend(branched)
 
     descend(initial)
-    order = best[0][1]
-    perm = [0] * g.n  # old -> new
-    for new, old in enumerate(order):
-        perm[old] = new
-    return write_graph6(g.relabel(perm)).encode("ascii")
+    return _pack_graph6(g.n, best[0]).encode("ascii")

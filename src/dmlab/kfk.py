@@ -42,20 +42,14 @@ def find_zero_antipodal_cycles(g: Graph, lab: CenteredLabeling) -> List[ZeroAnti
     adj = [set(nb) for nb in g.neighbors]
     found = []
     for a in range(g.n):
-        for c in range(g.n):
-            if c == a:
-                continue
+        for c in range(a + 1, g.n):
             if labels[a] + labels[c] != 0:
                 continue
             common = sorted(w for w in adj[a] & adj[c] if w > a)
-            if c < a:
-                continue
             for b, d in combinations(common, 2):
                 if labels[b] + labels[d] == 0:
-                    found.append(ZeroAntipodal4Cycle((a, b, c, d)))
-    # a < b < d and a < c hold by construction; dedup (a,b,c,d) vs (a,d,c,b)
-    uniq = sorted({cyc.vertices for cyc in found})
-    return [ZeroAntipodal4Cycle(v) for v in uniq]
+                    found.append((a, b, c, d))
+    return [ZeroAntipodal4Cycle(v) for v in sorted(found)]
 
 
 def expand(

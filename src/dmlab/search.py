@@ -53,6 +53,10 @@ class SearchOptions:
     prefilter: bool = False              # run the kernel filter before searching
 
     def __post_init__(self):
+        if self.mode not in (FIND_ONE, COUNT_ALL):
+            raise DmlabError(
+                f"unknown search mode {self.mode!r}; use {FIND_ONE!r} or {COUNT_ALL!r}"
+            )
         if self.node_budget is not None and self.node_budget < 0:
             raise DmlabError(f"node budget must be >= 0, got {self.node_budget}")
         if self.time_budget is not None and not 0 <= self.time_budget < math.inf:

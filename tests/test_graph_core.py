@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import networkx as nx
@@ -22,6 +23,48 @@ from dmlab.qw import build_qw, build_wreath, profile_to_sequence
 # upper-triangle bits 111011 101111 011000 -> 'z','n','W').
 OCTAHEDRON = Graph(6, [(i, j) for i in range(6) for j in range(i + 1, 6) if j - i != 3])
 OCTAHEDRON_G6 = "EznW"
+
+# SHA-256 of the newline-terminated lines of write_graph6 over GRAPH6_PIN_GRAPHS
+# and of canonical_certificate over CERTIFICATE_PIN_GRAPHS, recorded before the
+# certificate packed its least adjacency key straight into graph6; the bytes
+# must not change
+GRAPH6_PIN_SHA256 = "58d293ffb02d6a6a01bb9af8e271c0255b90308d2c70ee51c291fc142fb65550"
+CERTIFICATE_PIN_SHA256 = "34c87ba2baffaff8bc8051b96f22fcb9e61123e81f5105895692dcaff0db2dd6"
+
+
+def _pin_graphs(orders, make):
+    rng = random.Random(0x96)
+    return [make(rng, n) for n in orders]
+
+
+def _cycle_union(rng, n):
+    """2-regular graph on n >= 3 vertices: shuffled vertices cut into cycles of length >= 3."""
+    order = list(range(n))
+    rng.shuffle(order)
+    edges = []
+    while order:
+        length = len(order) if len(order) < 6 else rng.randint(3, len(order) - 3)
+        cycle, order = order[:length], order[length:]
+        edges.extend((cycle[i - 1], cycle[i]) for i in range(length))
+    return Graph(n, edges)
+
+
+# four densities at each order either side of the short/long form boundary
+GRAPH6_PIN_GRAPHS = _pin_graphs(
+    [n for n in (1, 2, 5, 6, 7, 62, 63, 74, 130) for _ in range(4)],
+    lambda rng, n: random_graph(rng, n, rng.choice((0.0, 0.1, 0.5, 1.0))),
+)
+# mid densities above order 7 keep every search tree small; in a union of
+# cycles of different lengths refinement leaves one cell that is not an orbit,
+# so the certificate picks the least key among unequal leaves
+CERTIFICATE_PIN_GRAPHS = _pin_graphs(
+    [n for n in range(1, 17) for _ in range(25)],
+    lambda rng, n: random_graph(rng, n, rng.uniform(0.3, 0.7) if n > 7 else rng.random()),
+) + _pin_graphs([n for n in range(3, 13) for _ in range(3)], _cycle_union)
+
+
+def _digest(lines):
+    return hashlib.sha256(b"".join(line + b"\n" for line in lines)).hexdigest()
 
 
 class TestGraph:
@@ -86,6 +129,10 @@ class TestGraph6:
         assert line.startswith("~")
         assert write_graph6(g) == line
         assert parse_graph6(line) == g
+
+    def test_bytes_pinned(self):
+        lines = [write_graph6(g).encode("ascii") for g in GRAPH6_PIN_GRAPHS]
+        assert _digest(lines) == GRAPH6_PIN_SHA256
 
     def test_short_form_up_to_62(self):
         assert write_graph6(Graph(62, [])).startswith("}")
@@ -174,6 +221,10 @@ class TestCertificate:
         # reason: W(6) is triangle-free, QW(3,3) contains the triangle (x1, x2, y1)
         assert sum(nx.triangles(to_nx(w6)).values()) == 0
         assert sum(nx.triangles(to_nx(qw)).values()) > 0
+
+    def test_bytes_pinned(self):
+        certs = [canonical_certificate(g) for g in CERTIFICATE_PIN_GRAPHS]
+        assert _digest(certs) == CERTIFICATE_PIN_SHA256
 
     def test_order_bound(self):
         with pytest.raises(OrderTooLargeError):

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import QUARTIC_10, relabel
 from dmlab import spectral
-from dmlab.errors import NotEvenRegularError, OddOrderError
+from dmlab.errors import DmlabError, NotEvenRegularError, OddOrderError
 from dmlab.graph import Graph, parse_graph6
 from dmlab.labeling import verify
 from dmlab.qw import build_qw, build_wreath, profile_to_sequence
@@ -62,6 +62,11 @@ class TestFindLabeling:
         )
         assert outcome.verdict == BUDGET_EXHAUSTED
         assert outcome.count_raw is None
+
+    def test_unknown_mode_rejected(self):
+        # the search would otherwise walk the whole tree like count-all and report no count
+        with pytest.raises(DmlabError, match="bogus"):
+            SearchOptions(mode="bogus")
 
     def test_prefilter_agrees(self):
         for parts in [(3,), (4,), (2, 2), (3, 3)]:
