@@ -6,6 +6,7 @@ construction; every higher layer reads the sorted neighbor tuples.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from typing import Iterable, Tuple
 
@@ -161,22 +162,21 @@ def write_graph6(g: Graph) -> str:
     """Encode as a canonical graph6 line: short form up to order 62, long form above."""
     if g.n > GRAPH6_MAX_ORDER:
         raise Graph6Error(f"order {g.n} exceeds the graph6 limit of {GRAPH6_MAX_ORDER}")
-    return _pack_graph6(g.n, _adjacency_key([set(a) for a in g.neighbors], range(g.n)))
+    adj = [set(a) for a in g.neighbors]
+    return _pack_graph6(g.n, (i in adj[j] for j in range(1, g.n) for i in range(j)))
 
 
 def _pack_graph6(n: int, bits) -> str:
-    """graph6 line of order n from its upper-triangle bits, column-major."""
+    """graph6 line of order n from an iterable of its upper-triangle bits,
+    column-major, consumed 6 bits at a time."""
     if n <= GRAPH6_SHORT_MAX_ORDER:
-        out = [chr(63 + n)]
+        out = bytearray([63 + n])
     else:
-        out = ["~"] + [chr(63 + ((n >> shift) & 63)) for shift in (12, 6, 0)]
-    for k in range(0, len(bits), 6):
-        group = bits[k:k + 6]
-        val = 0
-        for b in group:
-            val = (val << 1) | b
-        out.append(chr(63 + (val << (6 - len(group)))))  # zero padding
-    return "".join(out)
+        out = bytearray(b"~") + bytes(63 + ((n >> shift) & 63) for shift in (12, 6, 0))
+    it = iter(bits)
+    for a, b, c, d, e, f in itertools.zip_longest(*[it] * 6, fillvalue=0):  # zero padding
+        out.append(63 + (a << 5 | b << 4 | c << 3 | d << 2 | e << 1 | f))
+    return out.decode("ascii")
 
 
 # ---------------------------------------------------------------------------

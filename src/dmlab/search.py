@@ -12,7 +12,7 @@ coordinates, in ascending order, over all unused labels, and derives each
 pivot once the last free coordinate in its sum is labeled; that reaches
 every labeling.  A complete neighborhood then sums to 0 by construction.
 
-Rules, fixed and always applied:
+Rules, fixed and always applied ((d) in count-all mode only):
   (a) kernel derivation - a derived label must be an unused centered label
       (so an odd integer); a pivot with no free term, such as any coordinate
       of a trivial kernel, is 0 on the whole kernel: NOT_FOUND at once;
@@ -20,7 +20,21 @@ Rules, fixed and always applied:
       and their neighbors, the partial neighbor sum plus the extreme
       completions from the remaining label pool must straddle 0;
   (c) sign folding - the first free coordinate is labeled positive
-      (labelings come in +-pairs, since negation preserves both conditions).
+      (labelings come in +-pairs, since negation preserves both conditions);
+  (d) twin ordering - twins (vertices with equal neighbor sets) u < v must
+      have l(u) > l(v), checked on branched and on derived vertices, and
+      rule (c) moves to the first free coordinate that has no twin.  Swapping
+      two twins is an automorphism, so the group T of twin permutations, of
+      order prod k! over the twin classes, maps labelings to labelings; it
+      acts freely since labels are distinct, so each T-orbit holds exactly
+      one twin-ordered labeling, and the leaves times prod k! count every
+      labeling.  T commutes with negation, so l -> sort(-l) (negate, then
+      reorder each twin class) is an involution on twin-ordered labelings
+      that flips the sign at every vertex without a twin: the fold there
+      still halves the count exactly.  When every free coordinate has a twin
+      there is no fold and the total is halved instead (prod k! is then
+      even).  Find-one mode keeps rule (c) on the first free coordinate and
+      its search order.
 """
 
 from __future__ import annotations
@@ -108,13 +122,28 @@ def find_labeling(g: Graph, opts: Optional[SearchOptions] = None) -> SearchOutco
         derive[nonzero[-1]].append((p, scale, terms))
 
     nbrs = g.neighbors
+    # rule (d): twins[v] lists v's twins in count-all mode, orbit is prod k!
+    twins: list = [()] * n
+    orbit = 1
+    if opts.mode == COUNT_ALL:
+        classes: dict = {}
+        for v in range(n):
+            classes.setdefault(nbrs[v], []).append(v)  # sorted tuples
+        for cls in classes.values():
+            orbit *= math.factorial(len(cls))
+            for v in cls:
+                twins[v] = tuple(u for u in cls if u != v)
+    fold = next((k for k, v in enumerate(free) if not twins[v]), None)
     labels_desc = sorted(centered_label_set(n), key=lambda x: (-abs(x), -x))
     assigned: list = [None] * n
     remaining = sorted(labels_desc)  # ascending pool of unused labels
     in_pool = set(remaining)
     deadline = None if opts.time_budget is None else time.monotonic() + opts.time_budget
     first: Optional[CenteredLabeling] = None  # the only labeling kept
-    folded = 0
+    leaves = 0
+
+    def ordered(v: int, x: int) -> bool:
+        return all((u < v) == (assigned[u] > x) for u in twins[v] if assigned[u] is not None)
 
     def put(v: int, x: int, placed: list):
         assigned[v] = x
@@ -129,6 +158,8 @@ def find_labeling(g: Graph, opts: Optional[SearchOptions] = None) -> SearchOutco
             if s % scale or s // scale not in in_pool:
                 stats["prune_kernel"] += 1
                 return False
+            if twins[p] and not ordered(p, s // scale):
+                return False
             put(p, s // scale, placed)
         for u in {u for v in placed for u in (v, *nbrs[v])}:
             known = [assigned[w] for w in nbrs[u] if assigned[w] is not None]
@@ -140,34 +171,36 @@ def find_labeling(g: Graph, opts: Optional[SearchOptions] = None) -> SearchOutco
 
     def descend(k: int) -> bool:
         """Returns True when find-one mode should stop."""
-        nonlocal first, folded
-        if opts.node_budget is not None and stats["nodes"] > opts.node_budget:
-            raise _Budget
+        nonlocal first, leaves
         if deadline is not None and time.monotonic() > deadline:
             raise _Budget
         if k == len(free):
-            folded += 1
+            leaves += 1
             if first is None:
                 first = CenteredLabeling(n, tuple(assigned))
             return opts.mode == FIND_ONE
+        if opts.node_budget is not None and stats["nodes"] >= opts.node_budget:
+            raise _Budget
         stats["nodes"] += 1
+        v = free[k]
         for x in labels_desc:
-            if x not in in_pool or (k == 0 and x < 0):
+            if x not in in_pool or (k == fold and x < 0) or (twins[v] and not ordered(v, x)):
                 continue
             placed: list = []
-            put(free[k], x, placed)
+            put(v, x, placed)
             if settle(k, placed) and descend(k + 1):
                 return True
-            for v in placed:
-                in_pool.add(assigned[v])
-                bisect.insort(remaining, assigned[v])
-                assigned[v] = None
+            for w in placed:
+                in_pool.add(assigned[w])
+                bisect.insort(remaining, assigned[w])
+                assigned[w] = None
         return False
 
     try:
         descend(0)
     except _Budget:
         return SearchOutcome(BUDGET_EXHAUSTED, stats=stats)
+    folded = leaves * orbit if fold is not None else leaves * orbit // 2
     return _outcome(g, opts, first, folded, stats)
 
 

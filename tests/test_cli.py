@@ -257,6 +257,15 @@ class TestSearch:
         assert code == EXIT_ERROR
         assert json.loads(out)["verdict"] == "budget-exhausted"
 
+    def test_budget_nodes_is_a_ceiling(self, capsys, tmp_path):
+        graph_file = tmp_path / "g.g6"
+        graph_file.write_text(write_graph6(build_qw(profile_to_sequence((7,)))) + "\n")
+        code, out, _ = run(
+            capsys, "search", "--graph", str(graph_file), "--count", "--budget-nodes", "10"
+        )
+        assert code == EXIT_ERROR
+        assert json.loads(out)["stats"]["nodes"] == 10
+
     @pytest.mark.parametrize(
         "flag,value,message",
         [

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -133,6 +134,20 @@ class TestGraph6:
     def test_bytes_pinned(self):
         lines = [write_graph6(g).encode("ascii") for g in GRAPH6_PIN_GRAPHS]
         assert _digest(lines) == GRAPH6_PIN_SHA256
+
+    def test_memory_bounded_by_output(self):
+        # a 3000-cycle is a 0.72 MiB line; a list of its 4.5 million bits peaked at 44 MiB
+        n = 3000
+        g = Graph(n, [(i, (i + 1) % n) for i in range(n)])
+        tracemalloc.start()
+        try:
+            line = write_graph6(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(line) == 4 + (n * (n - 1) // 2 + 5) // 6
+        assert parse_graph6(line) == g
+        assert peak <= 4 * 2**20
 
     def test_short_form_up_to_62(self):
         assert write_graph6(Graph(62, [])).startswith("}")

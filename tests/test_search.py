@@ -12,6 +12,7 @@ from dmlab.qw import build_qw, build_wreath, profile_to_sequence
 from dmlab.search import (
     BUDGET_EXHAUSTED,
     COUNT_ALL,
+    FIND_ONE,
     FOUND,
     NOT_FOUND,
     SearchOptions,
@@ -62,6 +63,24 @@ class TestFindLabeling:
         )
         assert outcome.verdict == BUDGET_EXHAUSTED
         assert outcome.count_raw is None
+
+    @pytest.mark.parametrize("budget", [0, 1, 10, 100])
+    def test_node_budget_is_a_ceiling(self, budget):
+        outcome = find_labeling(
+            build_qw(profile_to_sequence((7,))), SearchOptions(mode=COUNT_ALL, node_budget=budget)
+        )
+        assert outcome.verdict == BUDGET_EXHAUSTED
+        assert outcome.stats["nodes"] == budget
+
+    @pytest.mark.parametrize("mode", [FIND_ONE, COUNT_ALL])
+    def test_no_verdict_over_budget(self, mode):
+        g = build_qw(profile_to_sequence((3, 3)))
+        full = find_labeling(g, SearchOptions(mode=mode))
+        nodes = full.stats["nodes"]
+        assert find_labeling(g, SearchOptions(mode=mode, node_budget=nodes)) == full
+        short = find_labeling(g, SearchOptions(mode=mode, node_budget=nodes - 1))
+        assert short.verdict == BUDGET_EXHAUSTED
+        assert short.stats["nodes"] == nodes - 1
 
     def test_unknown_mode_rejected(self):
         # the search would otherwise walk the whole tree like count-all and report no count
@@ -116,6 +135,23 @@ class TestCountMode:
         assert outcome.count_raw == 3456
         assert verify(g, outcome.labeling).ok
         assert peak < 100_000
+
+    @pytest.mark.parametrize("seed", [None, 1, 2, 3])
+    @pytest.mark.parametrize("parts,folded", [((7,), 39168), ((3, 3), 1728)])
+    def test_count_pinned_on_relabeled_copies(self, parts, folded, seed):
+        # relabeling moves the twin classes, so twin order does not follow vertex index
+        g = build_qw(profile_to_sequence(parts))
+        if seed is not None:
+            g = relabel(g, seed)
+        outcome = find_labeling(g, SearchOptions(mode=COUNT_ALL))
+        assert (outcome.count_folded, outcome.count_raw) == (folded, 2 * folded)
+        assert verify(g, outcome.labeling).ok
+
+    @pytest.mark.parametrize("parts,ceiling", [((7,), 4000), ((3, 3), 800)])
+    def test_one_leaf_per_twin_orbit(self, parts, ceiling):
+        # visiting every twin swap took 32,688 and 1,355 nodes
+        outcome = find_labeling(build_qw(profile_to_sequence(parts)), SearchOptions(mode=COUNT_ALL))
+        assert outcome.stats["nodes"] <= ceiling
 
     def test_count_zero_on_non_magic(self):
         outcome = find_labeling(
