@@ -7,7 +7,6 @@ backtracking search oracle, small-order regular graph enumeration, and the
 """
 
 from .constructive import (
-    SegmentPlan,
     block_label_pattern,
     construct_labeling,
     construct_tilde_labeling,

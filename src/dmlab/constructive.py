@@ -16,27 +16,19 @@ from typing import Dict, Optional, Tuple
 
 from .errors import InvariantError, NotDistanceMagicError
 from .labeling import CenteredLabeling, block_labels
-from .qw import TYPE_A, TYPE_B, QWSequence, classify, segments
+from .qw import TYPE_A, TYPE_B, QWSequence, Segment, classify, segments
 
 
 @dataclass(frozen=True)
-class PlannedSegment:
-    index: int            # 1-based
-    start: int            # k_i
-    length: int
-    kind: str             # TYPE_A or TYPE_B
-    b: int                # number of type-B segments before this one (b_1 = 0)
+class PlannedSegment(Segment):
+    """A segment of a distance magic sequence with its sign and pairing."""
+
+    b: int                  # number of type-B segments before this one (b_1 = 0)
     partner: Optional[int]  # for type-B with b even: index of the next type-B segment
 
 
-@dataclass(frozen=True)
-class SegmentPlan:
-    m: int
-    segments: Tuple[PlannedSegment, ...]
-
-
-def plan(seq: QWSequence) -> SegmentPlan:
-    """Sign/pairing bookkeeping for the labeling equations.
+def plan(seq: QWSequence) -> Tuple[PlannedSegment, ...]:
+    """The segments of seq with the sign/pairing bookkeeping of the labeling.
 
     Only defined for distance-magic sequences: every type-B segment with an
     even count of type-B predecessors is matched to the next type-B segment,
@@ -46,20 +38,15 @@ def plan(seq: QWSequence) -> SegmentPlan:
     if not verdict.distance_magic:
         raise NotDistanceMagicError(verdict.reason)
     segs = segments(seq)
+    b_indices = [s.index for s in segs if s.kind == TYPE_B]
     planned = []
     b = 0
-    b_indices = [s.index for s in segs if s.kind == TYPE_B]
     for s in segs:
-        partner = None
-        if s.kind == TYPE_B and b % 2 == 0:
-            pos = b_indices.index(s.index)
-            partner = b_indices[pos + 1]
-        planned.append(
-            PlannedSegment(s.index, s.start, s.length, s.kind, b, partner)
-        )
+        partner = b_indices[b + 1] if s.kind == TYPE_B and b % 2 == 0 else None
+        planned.append(PlannedSegment(s.index, s.start, s.length, s.kind, b, partner))
         if s.kind == TYPE_B:
             b += 1
-    return SegmentPlan(seq.m, tuple(planned))
+    return tuple(planned)
 
 
 class _BlockWriter:
@@ -83,26 +70,19 @@ class _BlockWriter:
         return CenteredLabeling(2 * self.m, tuple(labels))
 
 
-def _interior_pair(j: int) -> Tuple[int, int]:
-    """(alpha, beta) for interior block k_i + j, 2 <= j <= length - 3."""
-    res = j % 4
-    if res == 0:
-        return 2 * j + 3, 2 * j + 3
-    if res == 1:
-        return 2 * j - 1, 2 * j - 3
-    if res == 2:
-        return 2 * j + 1, 2 * j + 1
-    return 2 * j + 1, 2 * j + 3
+# (alpha - 2j, beta - 2j) for interior block k_i + j, 2 <= j <= length - 3, by j mod 4
+_INTERIOR_OFFSETS = ((3, 3), (-1, -3), (1, 1), (1, 3))
 
 
 def _assign(seq: QWSequence, starred: bool) -> CenteredLabeling:
-    p = plan(seq)
-    m = p.m
-    segs = p.segments
-    # k_end[i] = k_{i+1}, the zero position after segment i (k_{t+1} = m)
-    k_end = {s.index: (segs[s.index].start if s.index < len(segs) else m) for s in segs}
-    out = _BlockWriter(m)
+    """Write each segment's blocks in one pass: its first two blocks, its
+    interior blocks, then its last two.
 
+    A type-B segment i with even b also writes the penultimate block of its
+    partner i', which then writes only its own last block.
+    """
+    segs = plan(seq)
+    out = _BlockWriter(seq.m)
     for s in segs:
         sign = -1 if s.b % 2 else 1
         ki = s.start
@@ -110,37 +90,23 @@ def _assign(seq: QWSequence, starred: bool) -> CenteredLabeling:
         out.put(ki, sign * (off + 1), sign * (-off - 3))
         out.put(ki + 1, sign * (off + 3), sign * (-off - 1))
         for j in range(2, s.length - 2):  # 2 <= j <= length - 3
-            alpha, beta = _interior_pair(j)
-            out.put(ki + j, sign * (off + alpha), sign * (-off - beta))
-
-    # paired type-B segments
-    for s in segs:
-        if s.partner is None:
+            alpha, beta = _INTERIOR_OFFSETS[j % 4]
+            out.put(ki + j, sign * (off + 2 * j + alpha), sign * (-off - 2 * j - beta))
+        ke = 2 * s.end  # 2 k_{i+1}
+        if s.partner is not None:
+            p_end = segs[s.partner - 1].end
+            ke_p = 2 * p_end  # 2 k_{i'+1}
+            at_partner, at_own = (ke - 1, -ke + 3), (ke_p - 3, -ke_p + 3)
+            if starred:
+                # label exchange between blocks B_{k_{i+1}-1} and B_{k_{i'+1}-2}
+                at_partner, at_own = at_own, at_partner
+            out.put(p_end - 2, *at_partner)
+            out.put(s.end - 1, *at_own)
+            out.put(s.end - 2, ke - 3, -ke + 1)
             continue
-        ke = 2 * k_end[s.index]          # 2 k_{i+1}
-        ke_p = 2 * k_end[s.partner]      # 2 k_{i'+1}
-        if starred:
-            # label exchange between blocks B_{k_{i+1}-1} and B_{k_{i'+1}-2}
-            out.put(k_end[s.partner] - 2, ke_p - 3, -ke_p + 3)
-            out.put(k_end[s.index] - 1, ke - 1, -ke + 3)
-        else:
-            out.put(k_end[s.partner] - 2, ke - 1, -ke + 3)
-            out.put(k_end[s.index] - 1, ke_p - 3, -ke_p + 3)
-        out.put(k_end[s.index] - 2, ke - 3, -ke + 1)
-
-    # penultimate block of long type-A segments
-    for s in segs:
         if s.kind == TYPE_A and s.length > 3:
-            sign = -1 if s.b % 2 else 1
-            ke = 2 * k_end[s.index]
-            out.put(k_end[s.index] - 2, sign * (ke - 5), sign * (-ke + 7))
-
-    # last block of type-A segments and of type-B segments with odd b
-    for s in segs:
-        if s.kind == TYPE_A or s.b % 2:
-            ke = 2 * k_end[s.index]
-            out.put(k_end[s.index] - 1, ke - 1, -ke + 1)
-
+            out.put(s.end - 2, sign * (ke - 5), sign * (-ke + 7))
+        out.put(s.end - 1, ke - 1, -ke + 1)
     return out.finish()
 
 
@@ -166,23 +132,15 @@ def block_label_pattern(seq: QWSequence, lab: CenteredLabeling) -> bool:
 
     Only meaningful for construct_labeling output.
     """
-    p = plan(seq)
     bl = block_labels(seq, lab)
-    for s in p.segments:
+    for s in plan(seq):
         sign = -1 if s.b % 2 else 1
-        k_next = p.segments[s.index].start if s.index < len(p.segments) else p.m
-        if bl[s.start] != -2 * sign:
-            return False
-        if bl[s.start + 1] != 2 * sign:
-            return False
+        want = [-2 * sign, 2 * sign]
         for j in range(2, s.length - 2):
-            expect = 0 if j % 2 == 0 else (2 * sign if j % 4 == 1 else -2 * sign)
-            if bl[s.start + j] != expect:
-                return False
+            want.append(0 if j % 2 == 0 else (2 * sign if j % 4 == 1 else -2 * sign))
         if s.length > 3:
-            expect = 2 * sign if s.kind == TYPE_A else -2 * sign
-            if bl[k_next - 2] != expect:
-                return False
-        if bl[k_next - 1] != 0:
+            want.append(2 * sign if s.kind == TYPE_A else -2 * sign)
+        want.append(0)
+        if list(bl[s.start:s.end]) != want:
             return False
     return True

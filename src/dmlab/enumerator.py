@@ -140,18 +140,22 @@ class CensusRow:
 
 
 def census_pipeline(orders: Sequence[int], valency: int = 4) -> List[CensusRow]:
-    """Per order: enumerate, filter, and search-confirm."""
+    """Per order: enumerate, filter each graph as it arrives, and search-confirm the candidates."""
     from .search import FOUND, find_labeling
     from .spectral import corollary_filter
 
     rows = []
     for n in orders:
-        graphs = list(enumerate_regular(EnumerationTask(n, valency, connected=True)))
-        if not all(is_regular(g, valency) for g in graphs):
-            raise InvariantError(f"enumeration at order {n} produced an irregular graph")
-        candidates = tuple(g for g in graphs if corollary_filter(g).candidate)
+        total = 0
+        candidates = []
+        for g in enumerate_regular(EnumerationTask(n, valency, connected=True)):
+            if not is_regular(g, valency):
+                raise InvariantError(f"enumeration at order {n} produced an irregular graph")
+            total += 1
+            if corollary_filter(g).candidate:
+                candidates.append(g)
         confirmed = sum(
             1 for g in candidates if n % 2 == 0 and find_labeling(g).verdict == FOUND
         )
-        rows.append(CensusRow(n, len(graphs), candidates, confirmed))
+        rows.append(CensusRow(n, total, tuple(candidates), confirmed))
     return rows

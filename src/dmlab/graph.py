@@ -7,6 +7,7 @@ construction; every higher layer reads the sorted neighbor tuples.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from typing import Iterable, Tuple
 
@@ -122,22 +123,20 @@ def parse_graph6(line: str) -> Graph:
         raise Graph6Error(
             f"graph6 body has {len(body)} characters, expected {_g6_body_length(n)} for order {n}"
         )
-    bits = []
-    for ch in body:
+    nbits = n * (n - 1) // 2
+    edges = []
+    for k, ch in enumerate(body):
         val = ord(ch) - 63
         if not 0 <= val <= 63:
             raise Graph6Error(f"graph6 character {ch!r} out of range")
-        bits.extend((val >> shift) & 1 for shift in range(5, -1, -1))
-    nbits = n * (n - 1) // 2
-    if any(bits[nbits:]):
-        raise Graph6Error("nonzero padding bits in graph6 line")
-    edges = []
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                edges.append((i, j))
-            idx += 1
+        while val:  # set bits, most significant first
+            shift = val.bit_length() - 1
+            val ^= 1 << shift
+            idx = 6 * k + 5 - shift  # column-major: bit j(j-1)/2 + i is edge (i, j)
+            if idx >= nbits:  # only the last character has padding
+                raise Graph6Error("nonzero padding bits in graph6 line")
+            j = (1 + math.isqrt(1 + 8 * idx)) // 2
+            edges.append((idx - j * (j - 1) // 2, j))
     return Graph(n, edges)
 
 

@@ -37,11 +37,12 @@ class QWSequence:
 
 def validate_sequence(bits: Sequence[int]) -> QWSequence:
     """Check the construction rules: s_0 = 0, s_{m-1} = 1, no two consecutive zeros."""
-    bits = tuple(int(b) for b in bits)
+    bits = tuple(bits)
     m = len(bits)
     if m < 3:
         raise InvalidSequenceError(f"sequence length must be >= 3, got {m}")
-    if any(b not in (0, 1) for b in bits):
+    # exact ints only: bool is an int subclass, and floats such as 1.9 must not round
+    if any(type(b) is not int or b not in (0, 1) for b in bits):
         raise InvalidSequenceError("sequence entries must be 0 or 1")
     if bits[0] != 0:
         raise InvalidSequenceError("s_0 must be 0")
@@ -66,12 +67,12 @@ def parse_profile(text: str) -> Tuple[int, ...]:
 
 def profile_to_sequence(parts: Sequence[int]) -> QWSequence:
     """(a_1,...,a_r) -> [0,1,...,1, 0,1,...,1, ...] with a_k - 1 ones per run."""
-    parts = tuple(int(a) for a in parts)
+    parts = tuple(parts)
     if not parts:
         raise InvalidSequenceError("profile needs at least one part")
     for a in parts:
-        if a < 2:
-            raise InvalidSequenceError(f"profile parts must be >= 2, got {a}")
+        if type(a) is not int or a < 2:
+            raise InvalidSequenceError(f"profile parts must be integers >= 2, got {a!r}")
     bits: List[int] = []
     for a in parts:
         bits.append(0)
@@ -81,11 +82,7 @@ def profile_to_sequence(parts: Sequence[int]) -> QWSequence:
 
 def sequence_to_profile(seq: QWSequence) -> Tuple[int, ...]:
     """Run lengths between consecutive zero bits (inverse of profile_to_sequence)."""
-    zeros = [i for i, b in enumerate(seq.bits) if b == 0]
-    m = seq.m
-    return tuple(
-        (zeros[k + 1] if k + 1 < len(zeros) else m) - zeros[k] for k in range(len(zeros))
-    )
+    return tuple(s.length for s in segments(seq))
 
 
 def segment_type(length: int) -> str:
@@ -101,7 +98,8 @@ class Segment:
     """Maximal run of blocks between consecutive zero bits.
 
     Segment i (1-based) starts at the zero bit k_i and covers blocks
-    B_{k_i+1} .. B_{k_i+length}.
+    B_{k_i+1} .. B_{k_i+length}.  Its ``end`` is k_{i+1}, the next zero bit,
+    with k_{t+1} = m after the last of the t segments.
     """
 
     index: int     # 1-based
@@ -109,13 +107,17 @@ class Segment:
     length: int
     kind: str      # TYPE_A / TYPE_B / TYPE_OTHER
 
+    @property
+    def end(self) -> int:
+        return self.start + self.length
+
 
 def segments(seq: QWSequence) -> List[Segment]:
-    parts = sequence_to_profile(seq)
+    """The segments of seq in order, from one scan of its zero bits."""
     zeros = [i for i, b in enumerate(seq.bits) if b == 0]
     return [
-        Segment(index=i + 1, start=zeros[i], length=parts[i], kind=segment_type(parts[i]))
-        for i in range(len(parts))
+        Segment(index=i + 1, start=k, length=end - k, kind=segment_type(end - k))
+        for i, (k, end) in enumerate(zip(zeros, zeros[1:] + [seq.m]))
     ]
 
 

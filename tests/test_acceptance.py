@@ -91,7 +91,7 @@ def test_acceptance_2_constructive_labeling_family():
             assert check_block_recurrence(seq, bl), parts
             tilde = construct_tilde_labeling(seq)
             p = plan(seq)
-            starts = [s.start for s in p.segments]
+            starts = [s.start for s in p]
             for lo, hi in zip(starts, starts[1:] + [m]):
                 got = sorted(
                     [tilde.labels[j] for j in range(lo, hi)]

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import random
@@ -36,32 +37,32 @@ def dm_profiles(parts_pool, max_parts, max_m):
 def segment_bounds(seq):
     """(k_i, k_{i+1}) per segment, k_{t+1} = m."""
     p = plan(seq)
-    ends = [s.start for s in p.segments[1:]] + [p.m]
-    return [(s.start, ends[i]) for i, s in enumerate(p.segments)]
+    ends = [s.start for s in p[1:]] + [seq.m]
+    return [(s.start, ends[i]) for i, s in enumerate(p)]
 
 
 class TestPlan:
     def test_3_3(self):
         p = plan(profile_to_sequence((3, 3)))
-        assert [(s.start, s.kind, s.b, s.partner) for s in p.segments] == [
+        assert [(s.start, s.kind, s.b, s.partner) for s in p] == [
             (0, TYPE_A, 0, None),
             (3, TYPE_A, 0, None),
         ]
 
     def test_5_5(self):
         p = plan(profile_to_sequence((5, 5)))
-        assert [(s.kind, s.b, s.partner) for s in p.segments] == [
+        assert [(s.kind, s.b, s.partner) for s in p] == [
             (TYPE_B, 0, 2),
             (TYPE_B, 1, None),
         ]
 
     def test_figure_scale_profile(self):
         p = plan(profile_to_sequence((11, 3, 5, 3, 7, 5, 3)))
-        assert [s.kind for s in p.segments] == [
+        assert [s.kind for s in p] == [
             TYPE_A, TYPE_A, TYPE_B, TYPE_A, TYPE_A, TYPE_B, TYPE_A,
         ]
-        assert [s.b for s in p.segments] == [0, 0, 0, 1, 1, 1, 2]
-        assert [s.partner for s in p.segments] == [None, None, 6, None, None, None, None]
+        assert [s.b for s in p] == [0, 0, 0, 1, 1, 1, 2]
+        assert [s.partner for s in p] == [None, None, 6, None, None, None, None]
 
     def test_rejects_non_dm(self):
         with pytest.raises(NotDistanceMagicError):
@@ -72,13 +73,13 @@ class TestPlan:
     def test_pairing_is_perfect_matching(self):
         for parts in dm_profiles((3, 5, 9), 4, 30):
             p = plan(profile_to_sequence(parts))
-            b_segs = [s for s in p.segments if s.kind == TYPE_B]
-            paired = [s.partner for s in p.segments if s.partner is not None]
+            b_segs = [s for s in p if s.kind == TYPE_B]
+            paired = [s.partner for s in p if s.partner is not None]
             assert len(paired) == len(b_segs) // 2
             assert len(set(paired)) == len(paired)
-            for s in p.segments:
+            for s in p:
                 if s.partner is not None:
-                    partner = p.segments[s.partner - 1]
+                    partner = p[s.partner - 1]
                     assert partner.kind == TYPE_B and partner.index > s.index
 
 
@@ -160,6 +161,32 @@ class TestTilde:
             for lo, hi in segment_bounds(seq):
                 small = {abs(lab.labels[lo]), abs(lab.labels[m + lo + 1])}
                 assert small == {2 * lo + 1}
+
+
+def odd_compositions(max_m, prefix=()):
+    """Compositions of 3..max_m into odd parts >= 3."""
+    for a in range(3, max_m - sum(prefix) + 1, 2):
+        yield prefix + (a,)
+        yield from odd_compositions(max_m, prefix + (a,))
+
+
+class TestBytesPinned:
+    # SHA-256 over repr((profile, plain labels, tilde labels)), one per
+    # distance magic profile with odd parts and m <= 26, in (m, profile) order
+    SHA256 = "c5209aee9fdd470aa4b07aa15f2861c0564e09a3e9a320162e63b8c22cc8599c"
+
+    def test_construction_bytes_pinned(self):
+        profiles = sorted(
+            (p for p in odd_compositions(26) if classify(profile_to_sequence(p)).distance_magic),
+            key=lambda p: (sum(p), p),
+        )
+        assert len(profiles) == 531
+        h = hashlib.sha256()
+        for parts in profiles:
+            seq = profile_to_sequence(parts)
+            item = (parts, construct_labeling(seq).labels, construct_tilde_labeling(seq).labels)
+            h.update(repr(item).encode())
+        assert h.hexdigest() == self.SHA256
 
 
 class TestBlockPattern:

@@ -180,3 +180,26 @@ class TestCensus:
     def test_odd_orders_have_no_survivors(self):
         rows = census_pipeline([7, 9])
         assert [(r.total, len(r.candidates)) for r in rows] == [(2, 0), (16, 0)]
+
+    def test_graphs_are_filtered_as_they_arrive(self, monkeypatch):
+        # memory is bounded by the candidates, not by the classes of an order
+        import dmlab.spectral as spectral
+
+        events = []
+        enumerate_all, filter_one = enumerator.enumerate_regular, spectral.corollary_filter
+
+        def logged_enumerate(task):
+            for g in enumerate_all(task):
+                events.append("yield")
+                yield g
+
+        def logged_filter(g):
+            events.append("filter")
+            return filter_one(g)
+
+        monkeypatch.setattr(enumerator, "enumerate_regular", logged_enumerate)
+        monkeypatch.setattr(spectral, "corollary_filter", logged_filter)
+        (row,) = census_pipeline([8])
+        assert (row.total, len(row.candidates), row.dm_confirmed) == (6, 1, 1)
+        # graph k is filtered before graph k + 1 is enumerated
+        assert events == ["yield", "filter"] * 6

@@ -149,6 +149,20 @@ class TestGraph6:
         assert parse_graph6(line) == g
         assert peak <= 4 * 2**20
 
+    def test_parse_memory_bounded_by_input(self):
+        # the 4.5 million bits of a 3000-cycle's line would take about 40 MiB as a list
+        n = 3000
+        g = Graph(n, [(i, (i + 1) % n) for i in range(n)])
+        line = write_graph6(g)
+        tracemalloc.start()
+        try:
+            back = parse_graph6(line)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back == g
+        assert peak <= 4 * 2**20
+
     def test_short_form_up_to_62(self):
         assert write_graph6(Graph(62, [])).startswith("}")
         assert write_graph6(Graph(63, [])).startswith("~??~")

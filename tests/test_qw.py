@@ -68,6 +68,17 @@ class TestValidation:
         with pytest.raises(InvalidSequenceError):
             profile_to_sequence((3, 1))
 
+    @pytest.mark.parametrize("bits", [[0, 1.9, 1, 1], [0, "x", 1], [0, True, 1], [0, 1.0, 1]])
+    def test_non_integer_entries_rejected(self, bits):
+        # 1.9 must not truncate to 1, and "x" must raise a DmlabError, not ValueError
+        with pytest.raises(InvalidSequenceError, match="must be 0 or 1"):
+            validate_sequence(bits)
+
+    @pytest.mark.parametrize("parts", [[3.7], (3, 3.0), ("3",)])
+    def test_non_integer_parts_rejected(self, parts):
+        with pytest.raises(InvalidSequenceError, match="must be integers"):
+            profile_to_sequence(parts)
+
     def test_parse_profile(self):
         assert parse_profile("11,3,5,3,7,5,3") == (11, 3, 5, 3, 7, 5, 3)
         with pytest.raises(InvalidSequenceError):
