@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from .errors import OrderMismatchError
 from .graph import Graph
 from .labeling import CenteredLabeling
 
@@ -14,6 +15,8 @@ def export_dot(g: Graph, lab: Optional[CenteredLabeling] = None, qw_rows: bool =
     With qw_rows, vertices 0..m-1 (x row) and m..2m-1 (y row) are ranked
     separately, matching the two-cycle layout of quasi wreath graphs.
     """
+    if lab is not None and lab.order != g.n:
+        raise OrderMismatchError(f"labeling order {lab.order} != graph order {g.n}")
     lines = ["graph dmlab {"]
     if qw_rows and g.n % 2 == 0:
         m = g.n // 2
@@ -24,7 +27,7 @@ def export_dot(g: Graph, lab: Optional[CenteredLabeling] = None, qw_rows: bool =
             lines.append(f'  {v} [label="{lab.labels[v]}"];')
         else:
             lines.append(f"  {v};")
-    for u, w in sorted(g.edges):
-        lines.append(f"  {u} -- {w};")
+    for u, nb in enumerate(g.neighbors):
+        lines.extend(f"  {u} -- {w};" for w in nb if w > u)
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -58,17 +58,9 @@ def enumerate_regular(task: EnumerationTask) -> Iterator[Graph]:
         return
 
     adj: List[set] = [set() for _ in range(n)]
-
-    def add(u, v):
-        adj[u].add(v)
-        adj[v].add(u)
-
-    def drop(u, v):
-        adj[u].discard(v)
-        adj[v].discard(u)
-
     for v in range(1, r + 1):
-        add(0, v)
+        adj[0].add(v)
+        adj[v].add(0)
 
     seen = set()
 
@@ -86,22 +78,26 @@ def enumerate_regular(task: EnumerationTask) -> Iterator[Graph]:
     def complete_row(v: int, fresh: int):
         # fresh = smallest vertex with no incident edge yet (untouched suffix)
         if v == n:
-            if all(len(a) == r for a in adj):
-                yield from leaf()
+            # every row filled its vertex to degree r and none went past r,
+            # so the labeled graph is r-regular
+            yield from leaf()
             return
         if v == fresh:
             fresh = v + 1  # vertex introduces itself; symmetry makes it the smallest
-        need = r - len(adj[v])
-        touched = [u for u in range(v + 1, fresh) if len(adj[u]) < r and u not in adj[v]]
+        near = adj[v]
+        need = r - len(near)
+        touched = [u for u in range(v + 1, fresh) if len(adj[u]) < r and u not in near]
         max_new = min(need, n - fresh)
         for q in range(max_new + 1):
             new = list(range(fresh, fresh + q))
             for old in combinations(touched, need - q):
                 for u in (*old, *new):
-                    add(v, u)
+                    near.add(u)
+                    adj[u].add(v)
                 yield from complete_row(v + 1, fresh + q)
                 for u in (*old, *new):
-                    drop(v, u)
+                    near.discard(u)
+                    adj[u].discard(v)
 
     yield from complete_row(1, r + 1)
 

@@ -27,35 +27,36 @@ GRAPH6_MAX_ORDER = 258047
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "edges", "neighbors", "_hash")
+    __slots__ = ("n", "neighbors")
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]]):
         if n < 1:
             raise ValueError(f"graph order must be >= 1, got {n}")
-        es = set()
+        nbrs = [set() for _ in range(n)]
         for u, v in edges:
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for order {n}")
-            es.add((u, v) if u < v else (v, u))
-        nbrs = [[] for _ in range(n)]
-        for u, v in es:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
+            nbrs[u].add(v)
+            nbrs[v].add(u)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", frozenset(es))
         object.__setattr__(self, "neighbors", tuple(tuple(sorted(a)) for a in nbrs))
-        object.__setattr__(self, "_hash", hash((n, self.edges)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
+
+    @property
+    def edges(self) -> frozenset:
+        """The edges as (u, v) pairs with u < v, derived from the neighbor tuples."""
+        return frozenset((u, v) for u, nb in enumerate(self.neighbors) for v in nb if u < v)
 
     def degree(self, v: int) -> int:
         return len(self.neighbors[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
+        # a bare index would wrap a negative vertex round to the last one
+        return 0 <= u < self.n and v in self.neighbors[u]
 
     def relabel(self, perm: Iterable[int]) -> "Graph":
         """New graph with vertex v renamed to perm[v]."""
@@ -65,13 +66,13 @@ class Graph:
         return Graph(self.n, ((p[u], p[v]) for u, v in self.edges))
 
     def __eq__(self, other):
-        return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
+        return isinstance(other, Graph) and self.neighbors == other.neighbors
 
     def __hash__(self):
-        return self._hash
+        return hash(self.neighbors)
 
     def __repr__(self):
-        return f"Graph(n={self.n}, m={len(self.edges)})"
+        return f"Graph(n={self.n}, m={sum(map(len, self.neighbors)) // 2})"
 
 
 def is_regular(g: Graph, r: int) -> bool:
@@ -239,8 +240,6 @@ def canonical_certificate(g: Graph) -> bytes:
         )
     neighbors = g.neighbors
     adj_sets = [set(a) for a in neighbors]
-    degrees = sorted(set(len(a) for a in neighbors))
-    initial = [[v for v in range(g.n) if len(neighbors[v]) == d] for d in degrees]
 
     best = [None]
 
@@ -261,5 +260,5 @@ def canonical_certificate(g: Graph) -> bytes:
             )
             descend(branched)
 
-    descend(initial)
+    descend([list(range(g.n))])  # the first refinement splits it by degree
     return _pack_graph6(g.n, best[0]).encode("ascii")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .errors import ExpansionError
 from .graph import Graph, is_regular
@@ -39,17 +39,23 @@ def find_zero_antipodal_cycles(g: Graph, lab: CenteredLabeling) -> List[ZeroAnti
     if not report.ok:
         raise ExpansionError("labeling is not distance magic")
     labels = lab.labels
-    adj = [set(nb) for nb in g.neighbors]
+    # a bijection onto a symmetric label set: -l(a) is on exactly one vertex
+    vertex_of = {label: v for v, label in enumerate(labels)}
     found = []
     for a in range(g.n):
-        for c in range(a + 1, g.n):
-            if labels[a] + labels[c] != 0:
-                continue
-            common = sorted(w for w in adj[a] & adj[c] if w > a)
-            for b, d in combinations(common, 2):
-                if labels[b] + labels[d] == 0:
-                    found.append((a, b, c, d))
-    return [ZeroAntipodal4Cycle(v) for v in sorted(found)]
+        c = vertex_of[-labels[a]]
+        if c <= a:
+            continue
+        near_c = set(g.neighbors[c])
+        common = [w for w in g.neighbors[a] if w > a and w in near_c]  # ascending
+        for b, d in combinations(common, 2):
+            if labels[b] + labels[d] == 0:
+                found.append(ZeroAntipodal4Cycle((a, b, c, d)))
+    return found  # in lexicographic order: a ascends, and each a has one c
+
+
+def _edge_set(cycle: ZeroAntipodal4Cycle):
+    return {(min(u, v), max(u, v)) for u, v in cycle.edges}
 
 
 def expand(
@@ -72,30 +78,14 @@ def expand(
         raise ExpansionError("cycle antipodal label pairs do not sum to zero")
 
     n = g.n
-    removed = {(min(u, v), max(u, v)) for u, v in cycle.edges}
-    edges = [e for e in g.edges if e not in removed]
-    edges.extend((n, v) for v in cycle.vertices)
-    edges.extend((n + 1, v) for v in cycle.vertices)
-    g2 = Graph(n + 2, edges)
+    added = [(x, v) for x in (n, n + 1) for v in cycle.vertices]
+    g2 = Graph(n + 2, [*(g.edges - _edge_set(cycle)), *added])
     lab2 = CenteredLabeling(n + 2, (*labels, n + 1, -(n + 1)))
 
     report2 = verify(g2, lab2)
     if not report2.ok:
         raise ExpansionError("expansion produced a non-magic labeling")
     return g2, lab2
-
-
-def _has_surviving_triangle(g: Graph, cycle: ZeroAntipodal4Cycle) -> bool:
-    removed = {(min(u, v), max(u, v)) for u, v in cycle.edges}
-    adj = [set(nb) for nb in g.neighbors]
-    for u, v in g.edges:
-        if (u, v) in removed:
-            continue
-        for w in adj[u] & adj[v]:
-            if (min(u, w), max(u, w)) in removed or (min(v, w), max(v, w)) in removed:
-                continue
-            return True
-    return False
 
 
 def expand_default(g: Graph, lab: CenteredLabeling) -> Tuple[Graph, CenteredLabeling]:
@@ -111,5 +101,17 @@ def expand_default(g: Graph, lab: CenteredLabeling) -> Tuple[Graph, CenteredLabe
     cycles = find_zero_antipodal_cycles(g, lab)
     if not cycles:
         raise ExpansionError("no zero-antipodal 4-cycle exists for this labeling")
-    chosen = next((c for c in cycles if _has_surviving_triangle(g, c)), cycles[0])
-    return expand(g, lab, chosen)
+    adj = [set(nb) for nb in g.neighbors]
+    triangles = [  # each triangle once, as its edge set
+        {(u, v), (u, w), (v, w)}
+        for u, nb in enumerate(g.neighbors)
+        for v in nb if v > u
+        for w in nb if w > v and w in adj[v]
+    ]
+    # at most 4(d-1) triangles share an edge with a cycle in a graph of
+    # maximum degree d, so each test reads at most 4d-3 of them (13 when d = 4)
+    for cycle in cycles:
+        removed = _edge_set(cycle)
+        if any(t.isdisjoint(removed) for t in triangles):
+            return expand(g, lab, cycle)
+    return expand(g, lab, cycles[0])

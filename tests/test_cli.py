@@ -405,6 +405,23 @@ class TestExpand:
         assert out == ""
         assert err.startswith("dmlab: --cycle needs exactly four")
 
+    @pytest.mark.parametrize("cycle, edge", [("99,1,2,3", "(99,1)"), ("-1,0,1,2", "(-1,0)")])
+    def test_cycle_vertex_out_of_range_exit_2(self, capsys, tmp_path, cycle, edge):
+        graph_file = tmp_path / "g.g6"
+        graph_file.write_text(write_graph6(build_wreath(3)) + "\n")
+        labels_file = tmp_path / "labels.json"
+        labels_file.write_text(labeling_to_json(wreath_labeling(3)))
+        code, out, err = run(
+            capsys,
+            "expand",
+            "--graph", str(graph_file),
+            "--labels", str(labels_file),
+            f"--cycle={cycle}",
+        )
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err == f"dmlab: cycle edge {edge} missing from graph\n"
+
 
 class TestDot:
     def test_plain_export(self, capsys, tmp_path):
@@ -432,6 +449,25 @@ class TestDot:
         )
         assert code == EXIT_OK
         assert "rank" in out
+
+    @pytest.mark.parametrize("graph_profile, label_profile", [((3, 3), (3,)), ((3,), (3, 3))])
+    def test_labeling_of_another_order_exit_2(
+        self, capsys, tmp_path, graph_profile, label_profile
+    ):
+        from dmlab.constructive import construct_labeling
+
+        graph_file = tmp_path / "g.g6"
+        graph_file.write_text(write_graph6(build_qw(profile_to_sequence(graph_profile))) + "\n")
+        labels_file = tmp_path / "labels.json"
+        lab = construct_labeling(profile_to_sequence(label_profile))
+        labels_file.write_text(labeling_to_json(lab))
+        code, out, err = run(
+            capsys, "dot", "--graph", str(graph_file), "--labels", str(labels_file)
+        )
+        n, k = 2 * sum(graph_profile), 2 * sum(label_profile)
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err == f"dmlab: labeling order {k} != graph order {n}\n"
 
 
 class TestParsing:

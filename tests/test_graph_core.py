@@ -91,6 +91,26 @@ class TestGraph:
         with pytest.raises(AttributeError):
             g.n = 5
 
+    def test_equal_and_hash_ignore_edge_order(self, rng):
+        for _ in range(20):
+            g = random_graph(rng, rng.randint(2, 12))
+            edges = list(g.edges)
+            rng.shuffle(edges)
+            reversed_pairs = [(v, u) for u, v in reversed(edges)]
+            for h in (Graph(g.n, edges), Graph(g.n, reversed_pairs), Graph(g.n, edges * 2)):
+                assert h == g and hash(h) == hash(g)
+
+    def test_other_order_is_unequal(self):
+        g = Graph(4, [(0, 1), (1, 2)])
+        assert g != Graph(5, [(0, 1), (1, 2)])
+        assert g != Graph(4, [(0, 1), (1, 3)])
+
+    def test_has_edge_outside_vertex_range(self):
+        g = build_wreath(3)
+        assert g.has_edge(0, 1) and g.has_edge(1, 0)
+        for u, v in [(99, 1), (1, 99), (-1, 0), (0, -1), (-1, 5), (5, -1), (6, 0), (0, 6)]:
+            assert not g.has_edge(u, v)
+
 
 class TestGraph6:
     def test_empty_graph_on_six(self):

@@ -1,8 +1,11 @@
+import hashlib
+import time
+
 import pytest
 
 from dmlab.constructive import construct_labeling
 from dmlab.errors import ExpansionError
-from dmlab.graph import canonical_certificate, is_connected, is_regular
+from dmlab.graph import canonical_certificate, is_connected, is_regular, write_graph6
 from dmlab.kfk import (
     ZeroAntipodal4Cycle,
     expand,
@@ -10,7 +13,7 @@ from dmlab.kfk import (
     find_zero_antipodal_cycles,
 )
 from dmlab.labeling import CenteredLabeling, verify, wreath_labeling
-from dmlab.qw import build_qw, build_wreath, profile_to_sequence
+from dmlab.qw import build_qw, build_wreath, classify, profile_to_sequence
 
 
 def w3_setup():
@@ -136,3 +139,52 @@ class TestExpandDefault:
         g2, _ = expand_default(build_qw(seq), construct_labeling(seq))
         adj = [set(nb) for nb in g2.neighbors]
         assert any(adj[u] & adj[v] for u, v in g2.edges)
+
+
+def _odd_compositions(max_m, prefix=()):
+    for a in range(3, max_m - sum(prefix) + 1, 2):
+        yield prefix + (a,)
+        yield from _odd_compositions(max_m, prefix + (a,))
+
+
+def _pin_inputs():
+    """(input, graph, labeling): every distance magic QW profile with m <= 14
+    (all have odd parts) in (m, profile) order, then W(3..12)."""
+    profiles = sorted(
+        (p for p in _odd_compositions(14) if classify(profile_to_sequence(p)).distance_magic),
+        key=lambda p: (sum(p), p),
+    )
+    for parts in profiles:
+        seq = profile_to_sequence(parts)
+        yield ("qw", parts), build_qw(seq), construct_labeling(seq)
+    for k in range(3, 13):
+        yield ("wreath", k), build_wreath(k), wreath_labeling(k)
+
+
+class TestBytesPinned:
+    # SHA-256 over repr((input, cycles, expand_default graph6, labels)) for
+    # _pin_inputs, recorded before the cycle search used a label -> vertex
+    # map and the default expansion listed the triangles once
+    SHA256 = "563050dbeaa02de837ead2c128d5b35ba6fedc3b38ff235ce101802cb47a8d70"
+
+    def test_cycles_and_default_expansion_pinned(self):
+        h = hashlib.sha256()
+        count = 0
+        for key, g, lab in _pin_inputs():
+            cycles = tuple(c.vertices for c in find_zero_antipodal_cycles(g, lab))
+            g2, lab2 = expand_default(g, lab)
+            h.update(repr((key, cycles, write_graph6(g2), lab2.labels)).encode())
+            count += 1
+        assert count == 30
+        assert h.hexdigest() == self.SHA256
+
+
+class TestLinearTime:
+    def test_w3000_default_expansion_is_fast(self):
+        # n = 6,000; the all-pairs antipode scan and a per-cycle rescan of
+        # every edge took about 30 s on a 2-CPU machine
+        g, lab = build_wreath(3000), wreath_labeling(3000)
+        start = time.perf_counter()
+        g2, lab2 = expand_default(g, lab)
+        assert time.perf_counter() - start < 5.0
+        assert g2.n == 6002 and verify(g2, lab2).ok
