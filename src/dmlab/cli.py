@@ -19,7 +19,7 @@ from typing import Optional
 from . import constructive, dot, kfk, labeling, qw, search, spectral
 from .enumerator import EnumerationTask, census_pipeline, enumerate_regular
 from .errors import DmlabError
-from .graph import Graph, canonical_certificate, parse_graph6, write_graph6
+from .graph import Graph, parse_graph6, write_graph6
 from .labeling import SCHEMA
 
 EXIT_OK = 0
@@ -174,12 +174,8 @@ def _cmd_filter(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     task = EnumerationTask(order=args.order, valency=args.valency, connected=args.connected)
-    graphs = enumerate_regular(task)
-    if args.sorted:
-        lines = sorted(canonical_certificate(g).decode("ascii") for g in graphs)
-    else:
-        lines = (write_graph6(g) for g in graphs)
-    for s in lines:
+    lines = (write_graph6(g) for g in enumerate_regular(task))
+    for s in sorted(lines) if args.sorted else lines:
         print(s)
     return EXIT_OK
 

@@ -4,8 +4,8 @@ Strategy: row-by-row edge completion over labeled graphs with three symmetry
 quotients baked in (vertex 0's neighborhood is fixed to {1..r}; vertices not
 yet incident to any edge are introduced in index order; a finished labeled
 graph is kept only if vertex 0 has the largest vertex invariant and 1..r
-come in non-increasing order of it), then canonical certificate
-deduplication of the kept leaves.  Guaranteed complete for order <= 10.
+come in non-increasing order of it).  A kept leaf with a new certificate
+yields the graph that certificate encodes.  Guaranteed complete for order <= 10.
 
 The third quotient loses no class.  The vertex invariant (triangles at v,
 then the descending common-neighbour counts of v with the vertices at
@@ -26,7 +26,7 @@ from itertools import combinations
 from typing import Iterator, List, Sequence
 
 from .errors import EnumerationError, InvariantError
-from .graph import Graph, canonical_certificate, is_connected, is_regular
+from .graph import Graph, canonical_certificate, is_connected, is_regular, parse_graph6
 
 GUARANTEED_MAX_ORDER = 10
 
@@ -39,7 +39,7 @@ class EnumerationTask:
 
 
 def enumerate_regular(task: EnumerationTask) -> Iterator[Graph]:
-    """Yield one r-regular graph of the given order per isomorphism class, as found."""
+    """Yield one r-regular graph per isomorphism class, as found, in its canonical form."""
     n, r = task.order, task.valency
     if r < 0 or n < 1:
         raise EnumerationError(f"bad task: order {n}, valency {r}")
@@ -52,11 +52,6 @@ def enumerate_regular(task: EnumerationTask) -> Iterator[Graph]:
             f"enumeration is only guaranteed complete up to order {GUARANTEED_MAX_ORDER}; "
             "filter an external graph6 corpus instead"
         )
-    if r == 0:
-        if n == 1 or not task.connected:
-            yield Graph(n, [])
-        return
-
     adj: List[set] = [set() for _ in range(n)]
     for v in range(1, r + 1):
         adj[0].add(v)
@@ -73,7 +68,7 @@ def enumerate_regular(task: EnumerationTask) -> Iterator[Graph]:
         cert = canonical_certificate(g)
         if cert not in seen:
             seen.add(cert)
-            yield g
+            yield parse_graph6(cert.decode("ascii"))
 
     def complete_row(v: int, fresh: int):
         # fresh = smallest vertex with no incident edge yet (untouched suffix)

@@ -13,9 +13,9 @@ from typing import Iterable, Tuple
 
 from .errors import Graph6Error, OrderTooLargeError
 
-# canonical_certificate searches its whole tree, so it is exact at every
-# order.  This cap rejects larger graphs but does not bound the cost: the tree
-# is not pruned by automorphisms and has n! leaves on the complete graph K_n
+# canonical_certificate searches its whole tree up to twin swaps, so it is
+# exact at every order.  This cap rejects larger graphs but does not bound the
+# cost: a twin-free symmetric graph still costs about |Aut| leaves
 CERTIFICATE_MAX_ORDER = 20
 
 # graph6 short form covers 0 <= n <= 62 and the long form 63 <= n <= 258047;
@@ -182,8 +182,8 @@ def _pack_graph6(n: int, bits) -> str:
 # ---------------------------------------------------------------------------
 # Canonical certificate via individualization-refinement.  The certificate of
 # a graph is the graph6 line of its canonically relabeled copy, as bytes, so
-# equal certificates <=> isomorphic graphs.  The search visits every leaf of
-# the tree, so this holds at every order.
+# equal certificates <=> isomorphic graphs.  The search skips only subtrees a
+# twin swap maps onto visited ones, so this holds at every order.
 # ---------------------------------------------------------------------------
 
 def _refine(neighbors, partition):
@@ -229,17 +229,18 @@ def _adjacency_key(adj_sets, order):
 def canonical_certificate(g: Graph) -> bytes:
     """Isomorphism-invariant certificate, exact at every order.
 
-    It is the graph6 line of the least adjacency key over the whole search
-    tree.  No automorphism prunes that tree, so a highly symmetric graph costs
-    up to n! leaves (K_9 takes seconds) even below CERTIFICATE_MAX_ORDER.
+    It is the graph6 line of the least adjacency key over the search tree.  The
+    tree branches once per twin class (K_n costs one leaf) but is not otherwise
+    pruned: a twin-free symmetric graph costs about |Aut| leaves.
     """
     if g.n > CERTIFICATE_MAX_ORDER:
         raise OrderTooLargeError(
             f"canonical certificate is limited to order {CERTIFICATE_MAX_ORDER}, got {g.n}; "
-            "its search tree is unpruned and reaches n! leaves on symmetric graphs"
+            "its search tree is pruned only by twin swaps and grows with the automorphisms"
         )
     neighbors = g.neighbors
     adj_sets = [set(a) for a in neighbors]
+    closed = [tuple(sorted((*a, v))) for v, a in enumerate(neighbors)]
 
     best = [None]
 
@@ -252,13 +253,16 @@ def canonical_certificate(g: Graph) -> bytes:
                 best[0] = key
             return
         cell = partition[target]
+        tried_open, tried_closed = set(), set()
         for v in cell:
-            branched = (
-                partition[:target]
-                + [[v], [w for w in cell if w != v]]
-                + partition[target + 1:]
-            )
-            descend(branched)
+            # twins u, v have N(u) - {v} = N(v) - {u}: swapping them is an
+            # automorphism fixing every cell, so v's subtree repeats u's keys
+            if neighbors[v] in tried_open or closed[v] in tried_closed:
+                continue
+            tried_open.add(neighbors[v])
+            tried_closed.add(closed[v])
+            rest = [w for w in cell if w != v]
+            descend(partition[:target] + [[v], rest] + partition[target + 1:])
 
     descend([list(range(g.n))])  # the first refinement splits it by degree
     return _pack_graph6(g.n, best[0]).encode("ascii")

@@ -35,8 +35,7 @@ def find_zero_antipodal_cycles(g: Graph, lab: CenteredLabeling) -> List[ZeroAnti
     """All qualifying 4-cycles, one representative per rotation/reflection
     class, sorted lexicographically.  Representative convention: a is the
     smallest vertex of the cycle and b < d."""
-    report = verify(g, lab)
-    if not report.ok:
+    if not verify(g, lab).ok:
         raise ExpansionError("labeling is not distance magic")
     labels = lab.labels
     # a bijection onto a symmetric label set: -l(a) is on exactly one vertex
@@ -64,8 +63,7 @@ def expand(
     """Apply the expansion; returns the order-(n+2) graph and its labeling."""
     if not is_regular(g, 4):
         raise ExpansionError("expansion requires a tetravalent graph")
-    report = verify(g, lab)
-    if not report.ok:
+    if not verify(g, lab).ok:
         raise ExpansionError("labeling is not distance magic")
     a, b, c, d = cycle.vertices
     if len({a, b, c, d}) != 4:
@@ -76,14 +74,16 @@ def expand(
     labels = lab.labels
     if labels[a] + labels[c] != 0 or labels[b] + labels[d] != 0:
         raise ExpansionError("cycle antipodal label pairs do not sum to zero")
+    return _expand_qualifying(g, lab, cycle)
 
+
+def _expand_qualifying(g, lab, cycle):
+    """The expansion along a cycle known to qualify; the result is re-verified."""
     n = g.n
     added = [(x, v) for x in (n, n + 1) for v in cycle.vertices]
     g2 = Graph(n + 2, [*(g.edges - _edge_set(cycle)), *added])
-    lab2 = CenteredLabeling(n + 2, (*labels, n + 1, -(n + 1)))
-
-    report2 = verify(g2, lab2)
-    if not report2.ok:
+    lab2 = CenteredLabeling(n + 2, (*lab.labels, n + 1, -(n + 1)))
+    if not verify(g2, lab2).ok:
         raise ExpansionError("expansion produced a non-magic labeling")
     return g2, lab2
 
@@ -98,9 +98,11 @@ def expand_default(g: Graph, lab: CenteredLabeling) -> Tuple[Graph, CenteredLabe
     a wreath graph.  If no cycle preserves a triangle, the lexicographically
     least qualifying cycle is used.
     """
-    cycles = find_zero_antipodal_cycles(g, lab)
+    cycles = find_zero_antipodal_cycles(g, lab)  # verifies lab, once on this path
     if not cycles:
         raise ExpansionError("no zero-antipodal 4-cycle exists for this labeling")
+    if not is_regular(g, 4):
+        raise ExpansionError("expansion requires a tetravalent graph")
     adj = [set(nb) for nb in g.neighbors]
     triangles = [  # each triangle once, as its edge set
         {(u, v), (u, w), (v, w)}
@@ -113,5 +115,5 @@ def expand_default(g: Graph, lab: CenteredLabeling) -> Tuple[Graph, CenteredLabe
     for cycle in cycles:
         removed = _edge_set(cycle)
         if any(t.isdisjoint(removed) for t in triangles):
-            return expand(g, lab, cycle)
-    return expand(g, lab, cycles[0])
+            return _expand_qualifying(g, lab, cycle)
+    return _expand_qualifying(g, lab, cycles[0])

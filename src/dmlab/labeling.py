@@ -87,6 +87,9 @@ def verify(g: Graph, lab: CenteredLabeling) -> VerificationReport:
 
 def to_standard(lab: CenteredLabeling) -> StandardLabeling:
     n = lab.order
+    for v, x in enumerate(lab.labels):
+        if (x + n) % 2 == 0:  # (x + n + 1) / 2 is no integer; rounding would change the label
+            raise DmlabError(f"centered label {x} at vertex {v} has the parity of order {n}")
     return StandardLabeling(n, tuple((x + n + 1) // 2 for x in lab.labels))
 
 

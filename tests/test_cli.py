@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ import dmlab
 from dmlab.cli import EXIT_ERROR, EXIT_NEGATIVE, EXIT_OK, main
 from dmlab.graph import Graph, canonical_certificate, parse_graph6, write_graph6
 from dmlab.labeling import (
+    CenteredLabeling,
     StandardLabeling,
     labeling_from_json,
     labeling_to_json,
@@ -210,6 +212,15 @@ class TestLabel:
         assert code == EXIT_OK
         assert labeling_from_json(out) == lab
 
+    def test_convert_wrong_parity_to_standard_exit_2(self, capsys, tmp_path):
+        # 0 and 2 have the parity of n = 4: no standard label converts back to them
+        f = tmp_path / "c.json"
+        f.write_text(labeling_to_json(CenteredLabeling(4, (0, 0, 2, -2))))
+        code, out, err = run(capsys, "label", "convert", "--labels", str(f), "--to", "standard")
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err.startswith("dmlab:") and "centered label 0 at vertex 0" in err
+
 
 class TestSearch:
     def test_found_emits_labeling(self, capsys, tmp_path):
@@ -338,6 +349,24 @@ class TestEnumerate:
         lines = out.strip().splitlines()
         assert lines == sorted(lines)
         assert len(lines) == 6
+
+    @pytest.mark.parametrize("argv", [("--order", "8"), ("--order", "10", "--valency", "3")])
+    def test_unsorted_lines_are_the_sorted_lines(self, capsys, argv):
+        # both modes print canonical forms; only the order of the lines differs
+        code, unsorted_out, _ = run(capsys, "enumerate", *argv)
+        assert code == EXIT_OK
+        code, sorted_out, _ = run(capsys, "enumerate", *argv, "--sorted")
+        assert code == EXIT_OK
+        assert sorted(unsorted_out.splitlines()) == sorted_out.splitlines()
+
+    def test_valency_8_order_10_is_fast(self, capsys):
+        # its complement is 1-regular, so every class is full of twins; the
+        # certificate branches once per twin class (about 10 s without that)
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "enumerate", "--order", "10", "--valency", "8", "--sorted")
+        assert time.perf_counter() - start < 5
+        assert code == EXIT_OK
+        assert len(out.splitlines()) == 1
 
     def test_order_too_big_exit_2(self, capsys):
         code, _, err = run(capsys, "enumerate", "--order", "12")

@@ -14,7 +14,7 @@ from dmlab.enumerator import (
     enumerate_regular,
 )
 from dmlab.errors import EnumerationError
-from dmlab.graph import canonical_certificate, is_connected, is_regular
+from dmlab.graph import Graph, canonical_certificate, is_connected, is_regular, write_graph6
 from dmlab.qw import build_wreath
 
 # connected quartic graph counts, n = 5..10 (regression fixture, cross-checked
@@ -75,8 +75,24 @@ class TestCounts:
                 (i, j) for i in range(n) for j in range(i + 1, n)
             )
 
+    @pytest.mark.parametrize("connected", [True, False])
+    def test_valency_0_is_the_edgeless_graph(self, connected):
+        # the walk's only leaf; it is connected only at order 1
+        for n in range(1, 11):
+            graphs = list(enumerate_regular(EnumerationTask(n, 0, connected=connected)))
+            assert graphs == ([Graph(n, [])] if n == 1 or not connected else [])
+
 
 class TestOutputProperties:
+    @pytest.mark.parametrize("order,valency,connected", [
+        (8, 4, False), (9, 4, True), (10, 3, False), (8, 5, True), (9, 2, False), (7, 6, True),
+    ])
+    def test_yields_canonical_forms(self, order, valency, connected):
+        # each class comes out as the graph its certificate encodes
+        task = EnumerationTask(order, valency, connected)
+        for g in enumerate_regular(task):
+            assert write_graph6(g).encode("ascii") == canonical_certificate(g)
+
     def test_members_are_regular_connected(self):
         for n in (5, 6, 7, 8):
             for g in enumerate_regular(EnumerationTask(n, 4, connected=True)):

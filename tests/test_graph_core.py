@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import random
+import time
 import tracemalloc
 
 import networkx as nx
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_graph, to_nx
+from conftest import random_graph, relabel, to_nx
 from dmlab.errors import Graph6Error, OrderTooLargeError
 from dmlab.graph import (
     Graph,
@@ -62,6 +64,53 @@ CERTIFICATE_PIN_GRAPHS = _pin_graphs(
     [n for n in range(1, 17) for _ in range(25)],
     lambda rng, n: random_graph(rng, n, rng.uniform(0.3, 0.7) if n > 7 else rng.random()),
 ) + _pin_graphs([n for n in range(3, 13) for _ in range(3)], _cycle_union)
+
+
+def _partitions(n, most=None):
+    """Partitions of n into non-increasing parts of at most `most`."""
+    most = n if most is None else most
+    if n == 0:
+        yield ()
+    for a in range(min(n, most), 0, -1):
+        yield from ((a,) + rest for rest in _partitions(n - a, a))
+
+
+def _compositions(m):
+    """Ordered tuples of parts >= 2 summing to m."""
+    if m == 0:
+        yield ()
+    for a in range(2, m + 1):
+        yield from ((a,) + rest for rest in _compositions(m - a))
+
+
+def _complete_multipartite(parts):
+    part_of = [i for i, a in enumerate(parts) for _ in range(a)]
+    n = len(part_of)
+    pairs = itertools.combinations(range(n), 2)
+    return Graph(n, [(u, v) for u, v in pairs if part_of[u] != part_of[v]])
+
+
+def _twin_rich_graphs():
+    """K_n, the edgeless graph, K_n minus a perfect matching and every complete
+    multipartite graph for n <= 8, then W(3), W(4) and QW(S) for every profile
+    with m <= 8: graphs whose automorphisms are mostly twin swaps."""
+    out = []
+    for n in range(1, 9):
+        pairs = list(itertools.combinations(range(n), 2))
+        out.append(Graph(n, pairs))
+        out.append(Graph(n, []))
+        if n % 2 == 0:
+            out.append(Graph(n, [(u, v) for u, v in pairs if v != u + n // 2]))
+        out.extend(_complete_multipartite(p) for p in _partitions(n))
+    out.extend(build_wreath(k) for k in (3, 4))
+    out.extend(build_qw(profile_to_sequence(p)) for m in range(3, 9) for p in _compositions(m))
+    return out
+
+
+# SHA-256 of canonical_certificate over _twin_rich_graphs(), recorded while
+# the certificate searched every leaf of its tree; skipping twin swaps must
+# not change a byte
+TWIN_RICH_PIN_SHA256 = "d3967613005450cbbe96e56ce33c22fb23231c9a57786eb83bd61ee9904bba3f"
 
 
 def _digest(lines):
@@ -274,6 +323,30 @@ class TestCertificate:
     def test_bytes_pinned(self):
         certs = [canonical_certificate(g) for g in CERTIFICATE_PIN_GRAPHS]
         assert _digest(certs) == CERTIFICATE_PIN_SHA256
+
+    def test_twin_rich_bytes_pinned(self):
+        graphs = _twin_rich_graphs()
+        assert len(graphs) == 120
+        certs = [canonical_certificate(g) for g in graphs]
+        assert _digest(certs) == TWIN_RICH_PIN_SHA256
+        for seed, g in enumerate(graphs):  # the pruning depends on the labeling
+            assert canonical_certificate(relabel(g, seed)) == certs[seed]
+
+    def test_k9_is_fast(self):
+        # all vertices of K_n are twins, so its tree has one leaf; without the
+        # twin rule it has 9! and takes several seconds
+        k9 = Graph(9, itertools.combinations(range(9), 2))
+        start = time.perf_counter()
+        cert = canonical_certificate(k9)
+        assert time.perf_counter() - start < 1
+        assert cert == write_graph6(k9).encode("ascii")
+
+    def test_largest_order_of_twin_classes_is_fast(self):
+        # K20 and the edgeless graph of order 20 are one twin class each
+        for g in (Graph(20, []), Graph(20, itertools.combinations(range(20), 2))):
+            start = time.perf_counter()
+            assert canonical_certificate(g) == write_graph6(g).encode("ascii")
+            assert time.perf_counter() - start < 1
 
     def test_order_bound(self):
         with pytest.raises(OrderTooLargeError):

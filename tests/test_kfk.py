@@ -3,9 +3,10 @@ import time
 
 import pytest
 
+import dmlab.kfk as kfk
 from dmlab.constructive import construct_labeling
 from dmlab.errors import ExpansionError
-from dmlab.graph import canonical_certificate, is_connected, is_regular, write_graph6
+from dmlab.graph import Graph, canonical_certificate, is_connected, is_regular, write_graph6
 from dmlab.kfk import (
     ZeroAntipodal4Cycle,
     expand,
@@ -131,6 +132,28 @@ class TestExpandDefault:
         assert g.n == 12
         assert is_regular(g, 4)
         assert verify(g, lab).ok
+
+    def test_input_verified_once(self, monkeypatch):
+        # one check of the input labeling and one of the result
+        seen = []
+
+        def counted(g, lab):
+            seen.append(g.n)
+            return verify(g, lab)
+
+        monkeypatch.setattr(kfk, "verify", counted)
+        g, lab = w3_setup()
+        expand_default(g, lab)
+        assert seen == [6, 8]
+
+    @pytest.mark.parametrize("labels,message", [
+        ((3, 1, -3, -1), "expansion requires a tetravalent graph"),  # has a qualifying cycle
+        ((3, -1, 1, -3), "labeling is not distance magic"),
+    ])
+    def test_non_tetravalent_errors_keep_their_order(self, labels, message):
+        c4 = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        with pytest.raises(ExpansionError, match=message):
+            expand_default(c4, CenteredLabeling(4, labels))
 
     def test_qw7_result_keeps_a_triangle(self):
         # wreath graphs of order >= 8 are triangle-free, so a triangle in the

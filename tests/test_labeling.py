@@ -84,6 +84,20 @@ class TestSchemeConversion:
         assert verify(g, from_standard(std)).ok
         assert all(sum(std.labels[w] for w in g.neighbors[v]) == 2 * (6 + 1) for v in range(6))
 
+    def test_wrong_parity_is_rejected_not_rounded(self):
+        # floor((x + n + 1) / 2) once sent (0, 0, 2, -2) to (2, 2, 3, 1), which
+        # converts back to (-1, -1, 1, -3)
+        with pytest.raises(DmlabError, match="label 0 at vertex 0 has the parity of order 4"):
+            to_standard(CenteredLabeling(4, (0, 0, 2, -2)))
+        with pytest.raises(DmlabError, match="label 1 at vertex 2 has the parity of order 5"):
+            to_standard(CenteredLabeling(5, (0, 2, 1, -2, -4)))
+
+    def test_right_parity_converts_exactly(self):
+        # out-of-range labels too: verify() reports those, conversion keeps them
+        for n in range(1, 9):
+            lab = CenteredLabeling(n, tuple(3 * (2 * v + 1 - n) for v in range(n)))
+            assert from_standard(to_standard(lab)) == lab
+
     def test_centered_set_odd_order_rejected(self):
         with pytest.raises(OddOrderError):
             centered_label_set(5)
