@@ -3,20 +3,26 @@
 Strategy: row-by-row edge completion over labeled graphs with three symmetry
 quotients baked in (vertex 0's neighborhood is fixed to {1..r}; vertices not
 yet incident to any edge are introduced in index order; a finished labeled
-graph is kept only if vertex 0 has the largest vertex invariant and 1..r
-come in non-increasing order of it).  A kept leaf with a new certificate
-yields the graph that certificate encodes.  Guaranteed complete for order <= 10.
+graph is kept only if vertex 0 has the largest vertex invariant) and one
+rejection: at each row v <= r + 1, a partial graph isomorphic, with vertex 0
+fixed, to one already walked at row v is dropped.  A kept leaf with a new
+certificate yields the graph that certificate encodes.  The counts match OEIS
+through order 12, the largest order accepted.
 
-The third quotient loses no class.  The vertex invariant (triangles at v,
-then the descending common-neighbour counts of v with the vertices at
-distance 2) is unchanged by relabeling.  Take any graph of the class, call a
-vertex of largest invariant 0 and list its neighbours as 1..r in
-non-increasing invariant order.  Number the remaining vertices in the order
-in which rows 1, 2, ... first reach them, a vertex that no row reaches
-numbering itself when its own row comes.  The first two quotients generate
-exactly this labeled copy, and the third keeps it because its test reads
-only the invariants of 0..r, which the renumbering of the others does not
-touch.
+Nothing is lost.  Take any graph of the class and call a vertex of largest
+invariant (triangles at v, then the descending common-neighbour counts of v
+with the vertices at distance 2; unchanged by relabeling) 0, its neighbours
+1..r in any order.  Number the remaining vertices in the order in which rows
+1, 2, ... first reach them, a vertex that no row reaches numbering itself
+when its own row comes.  The quotients generate this labeled copy and keep
+it.  When row v begins, vertices 0..v-1 have degree r and fresh..n-1 have no
+edge, so the graphs a node leads to are the r-regular supergraphs of its
+partial graph on 0..fresh-1, up to renaming fresh..n-1, filtered by
+properties that only look at which vertex is 0.  Two partial graphs related
+by an isomorphism fixing 0 therefore lead to the same classes.  By induction
+on v from the last row down, every class that the walk without rejection
+reaches from a node at row v is still yielded: a dropped node leads to the
+classes of the walked node it repeats.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from typing import Iterator, List, Sequence
 from .errors import EnumerationError, InvariantError
 from .graph import Graph, canonical_certificate, is_connected, is_regular, parse_graph6
 
-GUARANTEED_MAX_ORDER = 10
+GUARANTEED_MAX_ORDER = 12
 
 
 @dataclass(frozen=True)
@@ -49,8 +55,8 @@ def enumerate_regular(task: EnumerationTask) -> Iterator[Graph]:
         raise EnumerationError(f"order {n} times valency {r} must be even")
     if n > GUARANTEED_MAX_ORDER:
         raise EnumerationError(
-            f"enumeration is only guaranteed complete up to order {GUARANTEED_MAX_ORDER}; "
-            "filter an external graph6 corpus instead"
+            f"enumeration is only tested complete up to order {GUARANTEED_MAX_ORDER} "
+            f"(OEIS counts), got order {n}; filter an external graph6 corpus instead"
         )
     adj: List[set] = [set() for _ in range(n)]
     for v in range(1, r + 1):
@@ -58,9 +64,10 @@ def enumerate_regular(task: EnumerationTask) -> Iterator[Graph]:
         adj[v].add(0)
 
     seen = set()
+    walked = set()  # (row, certificate rooted at 0) of the partial graphs walked
 
     def leaf():
-        if not _root_is_largest(adj, r):
+        if not _root_is_largest(adj):
             return
         g = Graph(n, ((u, w) for u in range(n) for w in adj[u] if u < w))
         if task.connected and not is_connected(g):
@@ -77,6 +84,12 @@ def enumerate_regular(task: EnumerationTask) -> Iterator[Graph]:
             # so the labeled graph is r-regular
             yield from leaf()
             return
+        if v <= r + 1:
+            partial = Graph(fresh, ((u, w) for u in range(fresh) for w in adj[u] if u < w))
+            key = (v, canonical_certificate(partial, root=0))
+            if key in walked:
+                return  # an isomorphic partial graph, vertex 0 fixed, was walked at this row
+            walked.add(key)
         if v == fresh:
             fresh = v + 1  # vertex introduces itself; symmetry makes it the smallest
         near = adj[v]
@@ -111,15 +124,10 @@ def _vertex_invariant(adj: List[set], v: int):
     return twice_triangles // 2, sorted(common.values(), reverse=True)
 
 
-def _root_is_largest(adj: List[set], r: int) -> bool:
-    """Vertex 0 has the largest invariant and 1..r follow in non-increasing order."""
-    top = previous = _vertex_invariant(adj, 0)
-    for v in range(1, r + 1):
-        current = _vertex_invariant(adj, v)
-        if current > previous:
-            return False
-        previous = current
-    return all(_vertex_invariant(adj, v) <= top for v in range(r + 1, len(adj)))
+def _root_is_largest(adj: List[set]) -> bool:
+    """Vertex 0 has the largest invariant."""
+    top = _vertex_invariant(adj, 0)
+    return all(_vertex_invariant(adj, v) <= top for v in range(1, len(adj)))
 
 
 @dataclass(frozen=True)

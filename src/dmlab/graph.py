@@ -226,12 +226,15 @@ def _adjacency_key(adj_sets, order):
     return bits
 
 
-def canonical_certificate(g: Graph) -> bytes:
+def canonical_certificate(g: Graph, root: int | None = None) -> bytes:
     """Isomorphism-invariant certificate, exact at every order.
 
     It is the graph6 line of the least adjacency key over the search tree.  The
     tree branches once per twin class (K_n costs one leaf) but is not otherwise
-    pruned: a twin-free symmetric graph costs about |Aut| leaves.
+    pruned: a twin-free symmetric graph costs about |Aut| leaves.  With a root
+    the search starts from [[root], rest], which keeps the root first in every
+    ordering: certificates of (g, a) and (h, b) are equal iff some isomorphism
+    g -> h maps a to b.
     """
     if g.n > CERTIFICATE_MAX_ORDER:
         raise OrderTooLargeError(
@@ -264,5 +267,11 @@ def canonical_certificate(g: Graph) -> bytes:
             rest = [w for w in cell if w != v]
             descend(partition[:target] + [[v], rest] + partition[target + 1:])
 
-    descend([list(range(g.n))])  # the first refinement splits it by degree
+    if root is None:
+        descend([list(range(g.n))])  # the first refinement splits it by degree
+    elif 0 <= root < g.n:
+        rest = [v for v in range(g.n) if v != root]
+        descend([[root], rest] if rest else [[root]])
+    else:
+        raise ValueError(f"root {root} out of range for order {g.n}")
     return _pack_graph6(g.n, best[0]).encode("ascii")

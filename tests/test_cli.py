@@ -369,7 +369,7 @@ class TestEnumerate:
         assert len(out.splitlines()) == 1
 
     def test_order_too_big_exit_2(self, capsys):
-        code, _, err = run(capsys, "enumerate", "--order", "12")
+        code, _, err = run(capsys, "enumerate", "--order", "13")
         assert code == EXIT_ERROR
         assert "dmlab:" in err
 

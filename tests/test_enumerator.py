@@ -15,17 +15,17 @@ from dmlab.enumerator import (
 )
 from dmlab.errors import EnumerationError
 from dmlab.graph import Graph, canonical_certificate, is_connected, is_regular, write_graph6
-from dmlab.qw import build_wreath
+from dmlab.qw import build_qw, build_wreath, profile_to_sequence
 
-# connected quartic graph counts, n = 5..10 (regression fixture, cross-checked
-# against the cubic/quartic census literature)
-CONNECTED_QUARTIC = {5: 1, 6: 1, 7: 2, 8: 6, 9: 16, 10: 59}
+# OEIS A006820: connected quartic graphs on n vertices; the order-12 count
+# (1544) is pinned by TestCensus.test_order_12, which enumerates it once
+CONNECTED_QUARTIC = {5: 1, 6: 1, 7: 2, 8: 6, 9: 16, 10: 59, 11: 265}
 
 # OEIS A002851: connected cubic graphs on n vertices
-CONNECTED_CUBIC = {4: 1, 6: 2, 8: 5, 10: 19}
+CONNECTED_CUBIC = {4: 1, 6: 2, 8: 5, 10: 19, 12: 85}
 
 # OEIS A006821: connected 5-regular graphs on n vertices
-CONNECTED_QUINTIC = {6: 1, 8: 3}
+CONNECTED_QUINTIC = {6: 1, 8: 3, 10: 60}
 
 # SHA-256 of `dmlab enumerate --order 10 --connected --sorted` stdout (with
 # --valency 3 for the second), recorded before the vertex-invariant quotient
@@ -124,26 +124,29 @@ class TestOutputProperties:
         assert hashlib.sha256(text.encode("ascii")).hexdigest() == SORTED_ORDER_10_SHA256[4]
 
     def test_few_certificate_calls(self, monkeypatch):
-        # the vertex-invariant quotient certifies few labeled leaves; without
-        # it order 10 makes 21,739 certificate calls
+        # the vertex-invariant quotient and the rejection of isomorphic partial
+        # graphs leave few labeled leaves to certify: 98 at order 10, against
+        # 657 without the rejection and 21,739 without either; the rejection
+        # itself makes about 900 rooted calls
         calls = []
 
-        def counted(g):
-            calls.append(g.n)
-            return canonical_certificate(g)
+        def counted(g, root=None):
+            calls.append(root)
+            return canonical_certificate(g, root=root)
 
         monkeypatch.setattr(enumerator, "canonical_certificate", counted)
         graphs = list(enumerate_regular(EnumerationTask(10, 4, connected=True)))
         assert len(graphs) == 59
-        assert 59 <= len(calls) <= 1000
+        assert 59 <= calls.count(None) <= 150
+        assert len(calls) <= 1200
 
     def test_first_class_comes_before_the_walk_ends(self, monkeypatch):
         # the generator yields each class as soon as it is certified
         calls = []
 
-        def counted(g):
-            calls.append(g.n)
-            return canonical_certificate(g)
+        def counted(g, root=None):
+            calls.append(root)
+            return canonical_certificate(g, root=root)
 
         monkeypatch.setattr(enumerator, "canonical_certificate", counted)
         total = sum(1 for _ in enumerate_regular(EnumerationTask(10)))
@@ -167,8 +170,8 @@ class TestOutputProperties:
 
 class TestErrors:
     def test_order_above_guarantee(self):
-        with pytest.raises(EnumerationError, match="order 10"):
-            list(enumerate_regular(EnumerationTask(11, 4)))
+        with pytest.raises(EnumerationError, match="order 12"):
+            list(enumerate_regular(EnumerationTask(13, 4)))
 
     def test_valency_at_least_order(self):
         with pytest.raises(EnumerationError):
@@ -192,6 +195,16 @@ class TestCensus:
             assert canonical_certificate(cand) == canonical_certificate(
                 build_wreath(row.order // 2)
             )
+
+    def test_order_12(self):
+        # the paper's order-12 row: W(6) and QW(3,3) are the only connected
+        # quartic distance magic graphs among the 1544 of OEIS A006820
+        (row,) = census_pipeline([12])
+        assert (row.order, row.total, len(row.candidates), row.dm_confirmed) == (12, 1544, 2, 2)
+        expected = {build_wreath(6), build_qw(profile_to_sequence((3, 3)))}
+        assert {canonical_certificate(g) for g in row.candidates} == {
+            canonical_certificate(g) for g in expected
+        }
 
     def test_odd_orders_have_no_survivors(self):
         rows = census_pipeline([7, 9])

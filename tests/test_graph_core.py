@@ -354,3 +354,45 @@ class TestCertificate:
 
     def test_wreath3_is_octahedron(self):
         assert canonical_certificate(build_wreath(3)) == canonical_certificate(OCTAHEDRON)
+
+
+def _rooted_form(g, root):
+    """Least sorted edge list over every relabeling that sends root to 0 (brute force)."""
+    others = [v for v in range(g.n) if v != root]
+    best = None
+    for image in itertools.permutations(range(1, g.n)):
+        p = dict(zip(others, image))
+        p[root] = 0
+        key = sorted(tuple(sorted((p[u], p[v]))) for u, v in g.edges)
+        if best is None or key < best:
+            best = key
+    return g.n, tuple(best)
+
+
+class TestRootedCertificate:
+    def test_matches_brute_force_rooted_isomorphism(self, rng):
+        # equal rooted certificates <=> an isomorphism maps one root to the
+        # other; the relabeled copies make the equal cases common
+        graphs = []
+        for seed, n in enumerate((1, 2, 3, 4, 4, 5, 5, 6, 6, 6, 7, 7, 7, 7)):
+            g = random_graph(rng, n, (0.3, 0.5)[seed % 2])
+            graphs += [g, relabel(g, seed)]
+        form_of, cert_of = {}, {}
+        for g in graphs:
+            for root in range(g.n):
+                cert, form = canonical_certificate(g, root=root), _rooted_form(g, root)
+                assert form_of.setdefault(cert, form) == form
+                assert cert_of.setdefault(form, cert) == cert
+        assert len(cert_of) < sum(g.n for g in graphs)
+
+    def test_root_is_vertex_0_of_the_certificate(self, rng):
+        for _ in range(20):
+            g = random_graph(rng, rng.randint(2, 12))
+            root = rng.randrange(g.n)
+            h = parse_graph6(canonical_certificate(g, root=root).decode("ascii"))
+            assert sorted(map(len, h.neighbors)) == sorted(map(len, g.neighbors))
+            assert h.degree(0) == g.degree(root)
+
+    def test_root_out_of_range(self):
+        with pytest.raises(ValueError):
+            canonical_certificate(OCTAHEDRON, root=6)
