@@ -11,12 +11,12 @@ so a mis-scoped index range fails loudly instead of silently overwriting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import List, Optional, Tuple
 
 from .errors import InvariantError, NotDistanceMagicError
 from .labeling import CenteredLabeling, block_labels
-from .qw import TYPE_A, TYPE_B, QWSequence, Segment, classify, segments
+from .qw import TYPE_A, TYPE_B, TYPE_OTHER, QWSequence, Segment, classify, segments
 
 
 @dataclass(frozen=True)
@@ -34,40 +34,39 @@ def plan(seq: QWSequence) -> Tuple[PlannedSegment, ...]:
     even count of type-B predecessors is matched to the next type-B segment,
     which is a perfect matching exactly because the type-B count is even.
     """
-    verdict = classify(seq)
-    if not verdict.distance_magic:
-        raise NotDistanceMagicError(verdict.reason)
     segs = segments(seq)
-    b_indices = [s.index for s in segs if s.kind == TYPE_B]
     planned = []
-    b = 0
+    b = opened = 0  # opened: where the last type-B segment sits in planned
     for s in segs:
-        partner = b_indices[b + 1] if s.kind == TYPE_B and b % 2 == 0 else None
-        planned.append(PlannedSegment(s.index, s.start, s.length, s.kind, b, partner))
+        if s.kind == TYPE_OTHER:
+            break
+        planned.append(PlannedSegment(s.index, s.start, s.length, s.kind, b, None))
         if s.kind == TYPE_B:
+            if b % 2:  # the partner of the type-B segment opened before it
+                planned[opened] = replace(planned[opened], partner=s.index)
+            opened = len(planned) - 1
             b += 1
+    if len(planned) < len(segs) or b % 2:
+        raise NotDistanceMagicError(classify(seq).reason)
     return tuple(planned)
 
 
 class _BlockWriter:
     def __init__(self, m: int):
         self.m = m
-        self.pairs: Dict[int, Tuple[int, int]] = {}
+        self.labels: List[Optional[int]] = [None] * (2 * m)  # x_0..x_{m-1}, y_0..y_{m-1}
 
     def put(self, block: int, x_label: int, y_label: int):
         block %= self.m
-        if block in self.pairs:
+        if self.labels[block] is not None:
             raise InvariantError(f"block {block} written twice")
-        self.pairs[block] = (x_label, y_label)
+        self.labels[block] = x_label
+        self.labels[self.m + block] = y_label
 
     def finish(self) -> CenteredLabeling:
-        if len(self.pairs) != self.m:
+        if None in self.labels:
             raise InvariantError("some block was never labeled")
-        labels = [0] * (2 * self.m)
-        for i, (lx, ly) in self.pairs.items():
-            labels[i] = lx
-            labels[self.m + i] = ly
-        return CenteredLabeling(2 * self.m, tuple(labels))
+        return CenteredLabeling(2 * self.m, tuple(self.labels))
 
 
 # (alpha - 2j, beta - 2j) for interior block k_i + j, 2 <= j <= length - 3, by j mod 4

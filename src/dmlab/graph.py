@@ -43,6 +43,15 @@ class Graph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "neighbors", tuple(tuple(sorted(a)) for a in nbrs))
 
+    @classmethod
+    def _from_neighbors(cls, neighbors: tuple) -> "Graph":
+        """Graph on neighbour tuples that are already sorted, symmetric, loop-free
+        and in range, taken as they are: for builders whose rules guarantee it."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", len(neighbors))
+        object.__setattr__(g, "neighbors", neighbors)
+        return g
+
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import compress, count
 from typing import Tuple
 
 from .errors import DmlabError, OddOrderError, OrderMismatchError
@@ -79,9 +80,10 @@ def verify(g: Graph, lab: CenteredLabeling) -> VerificationReport:
     """
     if lab.order != g.n:
         raise OrderMismatchError(f"labeling order {lab.order} != graph order {g.n}")
-    weights = tuple(sum(lab.labels[w] for w in g.neighbors[v]) for v in range(g.n))
+    label = lab.labels.__getitem__
+    weights = tuple(sum(map(label, nb)) for nb in g.neighbors)
     bijective = lab.is_bijection()
-    first = next((v for v, w in enumerate(weights) if w != 0), None)
+    first = next(compress(count(), weights), None)  # the first vertex of nonzero weight
     return VerificationReport(weights, bijective, bijective and first is None, first)
 
 
@@ -167,9 +169,9 @@ def labeling_from_json(text: str):
         raise DmlabError(f"malformed labeling JSON: {exc}") from None
     try:
         schema = doc["schema"]
-        order = _exact_int(doc["order"])
+        (order,) = _exact_ints((doc["order"],))
         scheme = doc["scheme"]
-        labels = tuple(_exact_int(x) for x in doc["labels"])
+        labels = _exact_ints(doc["labels"])
     except (KeyError, TypeError) as exc:
         raise DmlabError(f"bad labeling document: {exc}") from None
     if schema != SCHEMA:
@@ -181,8 +183,11 @@ def labeling_from_json(text: str):
     raise DmlabError(f"unknown labeling scheme {scheme!r}")
 
 
-def _exact_int(x) -> int:
+def _exact_ints(values) -> Tuple[int, ...]:
+    """values as a tuple, if every one is an exact int, checked in one pass over their types."""
+    values = tuple(values)
     # bool is an int subclass, and floats such as 1.9 or Infinity must not round
-    if type(x) is not int:
-        raise DmlabError(f"bad labeling document: {x!r} is not an integer")
-    return x
+    if not set(map(type, values)) <= {int}:
+        bad = next(x for x in values if type(x) is not int)
+        raise DmlabError(f"bad labeling document: {bad!r} is not an integer")
+    return values

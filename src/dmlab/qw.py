@@ -9,6 +9,7 @@ y_i -> m + i.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
@@ -42,15 +43,15 @@ def validate_sequence(bits: Sequence[int]) -> QWSequence:
     if m < 3:
         raise InvalidSequenceError(f"sequence length must be >= 3, got {m}")
     # exact ints only: bool is an int subclass, and floats such as 1.9 must not round
-    if any(type(b) is not int or b not in (0, 1) for b in bits):
+    if not set(map(type, bits)) <= {int} or not set(bits) <= {0, 1}:
         raise InvalidSequenceError("sequence entries must be 0 or 1")
     if bits[0] != 0:
         raise InvalidSequenceError("s_0 must be 0")
     if bits[-1] != 1:
         raise InvalidSequenceError("s_{m-1} must be 1")
-    for i in range(m - 1):
-        if bits[i] == 0 and bits[i + 1] == 0:
-            raise InvalidSequenceError(f"consecutive zeros at positions {i}, {i + 1}")
+    i = bytes(bits).find(b"\0\0")
+    if i >= 0:
+        raise InvalidSequenceError(f"consecutive zeros at positions {i}, {i + 1}")
     return QWSequence(bits)
 
 
@@ -147,30 +148,38 @@ def build_qw(seq: QWSequence) -> Graph:
     """Order-2m graph of the construction: cycle edges on both rows, plus a
     rung pair {x_i,y_i},{x_{i+1},y_{i+1}} when s_i = 0 and a crossing pair
     {x_i,y_{i+1}},{x_{i+1},y_i} when s_i = 1 (indices mod m)."""
-    m = seq.m
-    edges = []
-    for i in range(m):
-        j = (i + 1) % m
-        edges.append((i, j))          # x_i -- x_{i+1}
-        edges.append((m + i, m + j))  # y_i -- y_{i+1}
-        if seq.bits[i] == 0:
-            edges.append((i, m + i))
-            edges.append((j, m + j))
-        else:
-            edges.append((i, m + j))
-            edges.append((j, m + i))
-    return Graph(2 * m, edges)
+    return Graph._from_neighbors(_neighbor_rows(seq.bits))
 
 
 def build_wreath(k: int) -> Graph:
     """Wreath graph W(k): N(u_i) = N(v_i) = {u_{i+-1}, v_{i+-1}}.
 
-    u_i -> i, v_i -> k + i.
+    u_i -> i, v_i -> k + i.  These are the construction's rules with every
+    s_i = 1.
     """
     if k < 3:
         raise InvalidSequenceError(f"wreath parameter must be >= 3, got {k}")
-    edges = []
-    for i in range(k):
-        j = (i + 1) % k
-        edges.extend([(i, j), (k + i, k + j), (i, k + j), (j, k + i)])
-    return Graph(2 * k, edges)
+    return Graph._from_neighbors(_neighbor_rows((1,) * k))
+
+
+def _neighbor_rows(bits: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
+    """Sorted neighbour tuples of the construction on bits (length m >= 3, no
+    two cyclically consecutive zeros).
+
+    x_i is joined to x_{i-1}, x_{i+1}, to y_i or y_{i-1} by s_{i-1} and to y_i
+    or y_{i+1} by s_i; y_i likewise with the rows swapped.  Every tuple is in
+    ascending order except at i = 0 and i = m-1, where the cycles wrap.
+    """
+    m = len(bits)
+    # xs[i + 1] is x_i and ys[i + 1] is y_i, with one wrapped entry at each
+    # end; every tuple holds these int objects, one per vertex
+    xs, ys = list(range(-1, m + 1)), list(range(m - 1, 2 * m + 1))
+    xs[0], xs[-1], ys[0], ys[-1] = xs[m], xs[1], ys[m], ys[1]
+    rows = [None] * (2 * m)
+    for i, (r, s) in enumerate(zip(itertools.chain(bits[-1:], bits), bits)):
+        lo, hi = i + 1 - r, i + 1 + s  # the partners chosen by s_{i-1} and s_i
+        rows[i] = (xs[i], xs[i + 2], ys[lo], ys[hi])
+        rows[m + i] = (xs[lo], xs[hi], ys[i], ys[i + 2])
+    for v in (0, m - 1, m, 2 * m - 1):
+        rows[v] = tuple(sorted(rows[v]))
+    return tuple(rows)

@@ -102,13 +102,16 @@ def pinned_equal_pair(vectors, n: int) -> Optional[Tuple[int, int]]:
     """First coordinate pair (i, j), i < j, equal in every given kernel vector.
 
     Equality across a basis is equivalent to equality across the whole span,
-    so the answer does not depend on the basis choice.
+    so the answer does not depend on the basis choice.  Coordinates are
+    grouped by their column across the vectors in one pass; the first pair is
+    the least (first, second) member pair of a group.
     """
-    for i in range(n):
-        for j in range(i + 1, n):
-            if all(v[i] == v[j] for v in vectors):
-                return (i, j)
-    return None
+    first, second = {}, {}  # column -> its least coordinate; that one -> the next
+    for j, column in enumerate(zip(*vectors) if vectors else [()] * n):
+        i = first.setdefault(column, j)
+        if i != j:
+            second.setdefault(i, j)
+    return min(second.items(), default=None)
 
 
 def corollary_filter(g: Graph) -> FilterVerdict:

@@ -32,6 +32,15 @@ def relabel(g: Graph, seed: int) -> Graph:
     return g.relabel(perm)
 
 
+def compositions(m: int):
+    """Every QW profile with m blocks: ordered parts >= 2."""
+    if m == 0:
+        yield ()
+    for first in range(2, m + 1):
+        for rest in compositions(m - first):
+            yield (first, *rest)
+
+
 # the 59 connected quartic graphs of order 10 (OEIS A006820), as canonical
 # certificates in ascending order
 QUARTIC_10 = [

@@ -1,11 +1,14 @@
 import itertools
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import compositions
 from dmlab.errors import InvalidSequenceError
-from dmlab.graph import is_connected, is_regular
+from dmlab.graph import Graph, is_connected, is_regular
 from dmlab.qw import (
     TYPE_A,
     TYPE_B,
@@ -141,6 +144,74 @@ class TestBuilders:
     def test_wreath_needs_k_3(self):
         with pytest.raises(InvalidSequenceError):
             build_wreath(2)
+
+
+def rule_edges(bits):
+    """The construction's edge list, one rule at a time (indices mod m)."""
+    m = len(bits)
+    edges = []
+    for i, s in enumerate(bits):
+        j = (i + 1) % m
+        edges += [(i, j), (m + i, m + j)]
+        edges += [(i, m + i), (j, m + j)] if s == 0 else [(i, m + j), (j, m + i)]
+    return edges
+
+
+def assert_well_formed(g):
+    for v, nb in enumerate(g.neighbors):
+        assert list(nb) == sorted(set(nb)), v
+        assert v not in nb and all(0 <= w < g.n for w in nb), v
+        assert all(v in g.neighbors[w] for w in nb), v
+
+
+class TestBuilderRules:
+    """The builders write their neighbour tuples without the validating
+    constructor, so they are checked against it here."""
+
+    def test_qw_matches_rules_every_profile_up_to_14(self):
+        for m in range(3, 15):
+            for parts in compositions(m):
+                seq = profile_to_sequence(parts)
+                g = build_qw(seq)
+                assert g == Graph(2 * m, rule_edges(seq.bits)), parts
+                assert_well_formed(g)
+
+    def test_qw_matches_rules_random_profiles(self):
+        rng = random.Random(12)
+        for _ in range(20):
+            parts, m = [], 0
+            target = rng.randint(3, 5000)
+            while m < target:
+                parts.append(rng.randint(2, 40))
+                m += parts[-1]
+            seq = profile_to_sequence(parts)
+            g = build_qw(seq)
+            assert g == Graph(2 * seq.m, rule_edges(seq.bits)), parts
+            assert_well_formed(g)
+
+    def test_wreath_matches_rules(self):
+        for k in range(3, 201):
+            edges = []
+            for i in range(k):
+                j = (i + 1) % k
+                edges += [(i, j), (k + i, k + j), (i, k + j), (j, k + i)]
+            g = build_wreath(k)
+            assert g == Graph(2 * k, edges), k
+            assert_well_formed(g)
+
+    def test_memory_bounded_by_output(self):
+        # m = 30000: an edge list and a set per vertex peaked at 30.4 MiB for
+        # the 10.2 MiB the graph keeps
+        seq = profile_to_sequence((3,) * 10000)
+        tracemalloc.start()
+        try:
+            g = build_qw(seq)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.n == 60000
+        assert peak <= 1.5 * kept
+        assert kept <= 10.2 * 2**20
 
 
 class TestSegments:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import QUARTIC_10, random_graph
+from conftest import QUARTIC_10, compositions, random_graph
 from dmlab.errors import NotEvenRegularError
 from dmlab.graph import Graph, parse_graph6
 from dmlab.labeling import CenteredLabeling, verify, wreath_labeling
@@ -223,3 +223,40 @@ class TestLemmaEv:
         report = verify(C4, lab)
         assert report.weights == (0, 0, 0, 0)
         assert not report.bijective and not report.ok
+
+
+def pinned_pair_reference(vectors, n):
+    """The definition: the first pair (i, j), i < j, in lexicographic order,
+    equal in every vector."""
+    for i in range(n):
+        for j in range(i + 1, n):
+            if all(v[i] == v[j] for v in vectors):
+                return (i, j)
+    return None
+
+
+class TestPinnedEqualPair:
+    """The one-pass grouping against the quadratic scan of the definition."""
+
+    def test_quartic_order_10(self):
+        assert len(QUARTIC_10) == 59
+        for s in QUARTIC_10:
+            g = parse_graph6(s)
+            vs = nullspace_basis(adjacency_matrix(g)).vectors
+            assert pinned_equal_pair(vs, g.n) == pinned_pair_reference(vs, g.n), s
+
+    def test_qw_profiles_up_to_10(self):
+        for m in range(3, 11):
+            for parts in compositions(m):
+                g = build_qw(profile_to_sequence(parts))
+                vs = nullspace_basis(adjacency_matrix(g)).vectors
+                assert pinned_equal_pair(vs, g.n) == pinned_pair_reference(vs, g.n), parts
+
+    def test_random_bases(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            n, d = rng.randint(1, 12), rng.randint(0, 4)
+            # few distinct values, so that columns coincide often
+            values = [Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(3)]
+            vs = [[rng.choice(values) for _ in range(n)] for _ in range(d)]
+            assert pinned_equal_pair(vs, n) == pinned_pair_reference(vs, n), (n, vs)
