@@ -11,12 +11,12 @@ so a mis-scoped index range fails loudly instead of silently overwriting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .errors import InvariantError, NotDistanceMagicError
 from .labeling import CenteredLabeling, block_labels
-from .qw import TYPE_A, TYPE_B, TYPE_OTHER, QWSequence, Segment, classify, segments
+from .qw import TYPE_A, TYPE_B, TYPE_OTHER, QWSequence, Segment, classify, segment_type
 
 
 @dataclass(frozen=True)
@@ -34,20 +34,18 @@ def plan(seq: QWSequence) -> Tuple[PlannedSegment, ...]:
     even count of type-B predecessors is matched to the next type-B segment,
     which is a perfect matching exactly because the type-B count is even.
     """
-    segs = segments(seq)
-    planned = []
-    b = opened = 0  # opened: where the last type-B segment sits in planned
-    for s in segs:
-        if s.kind == TYPE_OTHER:
-            break
-        planned.append(PlannedSegment(s.index, s.start, s.length, s.kind, b, None))
-        if s.kind == TYPE_B:
-            if b % 2:  # the partner of the type-B segment opened before it
-                planned[opened] = replace(planned[opened], partner=s.index)
-            opened = len(planned) - 1
-            b += 1
-    if len(planned) < len(segs) or b % 2:
+    zeros = [i for i, bit in enumerate(seq.bits) if bit == 0]
+    bounds = list(zip(zeros, zeros[1:] + [seq.m]))
+    kinds = [segment_type(end - k) for k, end in bounds]
+    type_b = [i for i, kind in enumerate(kinds, 1) if kind == TYPE_B]  # 1-based indices
+    if TYPE_OTHER in kinds or len(type_b) % 2:
         raise NotDistanceMagicError(classify(seq).reason)
+    partner = dict(zip(type_b[::2], type_b[1::2]))
+    planned = []
+    b = 0
+    for i, ((k, end), kind) in enumerate(zip(bounds, kinds), 1):
+        planned.append(PlannedSegment(i, k, end - k, kind, b, partner.get(i)))
+        b += kind == TYPE_B
     return tuple(planned)
 
 

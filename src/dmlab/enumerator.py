@@ -69,7 +69,7 @@ def enumerate_regular(task: EnumerationTask) -> Iterator[Graph]:
     def leaf():
         if not _root_is_largest(adj):
             return
-        g = Graph(n, ((u, w) for u in range(n) for w in adj[u] if u < w))
+        g = Graph._from_neighbors(tuple(tuple(sorted(a)) for a in adj))
         if task.connected and not is_connected(g):
             return
         cert = canonical_certificate(g)
@@ -85,7 +85,8 @@ def enumerate_regular(task: EnumerationTask) -> Iterator[Graph]:
             yield from leaf()
             return
         if v <= r + 1:
-            partial = Graph(fresh, ((u, w) for u in range(fresh) for w in adj[u] if u < w))
+            # only vertices below fresh have edges, so adj[:fresh] is a graph
+            partial = Graph._from_neighbors(tuple(tuple(sorted(a)) for a in adj[:fresh]))
             key = (v, canonical_certificate(partial, root=0))
             if key in walked:
                 return  # an isomorphic partial graph, vertex 0 fixed, was walked at this row

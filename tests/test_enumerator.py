@@ -156,6 +156,24 @@ class TestOutputProperties:
         assert total == 59
         assert 1 <= len(calls) < full_run
 
+    def test_certified_graphs_are_well_formed(self, monkeypatch):
+        # the walk hands its adjacency sets to the trusting Graph constructor;
+        # rebuilding each graph from its edges through the validating one must
+        # give the same neighbour tuples: sorted, symmetric, loop-free, in range
+        calls = []
+
+        def checked(g, root=None):
+            calls.append(root)
+            assert all(type(nb) is tuple for nb in g.neighbors)
+            assert Graph(g.n, g.edges) == g
+            return canonical_certificate(g, root=root)
+
+        monkeypatch.setattr(enumerator, "canonical_certificate", checked)
+        for n, classes in ((8, 6), (10, 59)):
+            calls.clear()
+            assert sum(1 for _ in enumerate_regular(EnumerationTask(n))) == classes
+            assert None in calls and 0 in calls  # leaves and partial graphs
+
     def test_wreath_appears(self):
         for k in (3, 4, 5):
             task = EnumerationTask(2 * k, 4, connected=True)

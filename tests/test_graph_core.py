@@ -113,6 +113,46 @@ def _twin_rich_graphs():
 TWIN_RICH_PIN_SHA256 = "d3967613005450cbbe96e56ce33c22fb23231c9a57786eb83bd61ee9904bba3f"
 
 
+def _circulant(n, steps):
+    return Graph(n, [(v, (v + s) % n) for v in range(n) for s in steps])
+
+
+def _generalized_petersen(n, k):
+    """GP(n, k): outer cycle 0..n-1, spokes v -- n + v, inner cycle in steps of k."""
+    edges = [(v, (v + 1) % n) for v in range(n)] + [(v, n + v) for v in range(n)]
+    edges += [(n + v, n + (v + k) % n) for v in range(n)]
+    return Graph(2 * n, edges)
+
+
+def _hypercube(d):
+    return Graph(1 << d, [(v, v ^ (1 << i)) for v in range(1 << d) for i in range(d)])
+
+
+def _cycles(copies, length):
+    """copies disjoint cycles of the given length."""
+    return Graph(copies * length, [
+        (c * length + i, c * length + (i + 1) % length) for c in range(copies) for i in range(length)
+    ])
+
+
+def _symmetric_graphs():
+    """Petersen, Q3, Q4, the Mobius-Kantor graph GP(8, 3), the cycle C_n and the
+    circulants C_n(1, k) for 5 <= n <= 16, and three and four disjoint 5-cycles:
+    graphs with many automorphisms, nearly all of them twin-free, so that twin
+    swaps prune little of the certificate's tree."""
+    out = [_generalized_petersen(5, 2), _hypercube(3), _hypercube(4), _generalized_petersen(8, 3)]
+    out += [_circulant(n, (1, k)) for n in range(5, 17) for k in range(1, n // 2 + 1)]
+    out += [_cycles(3, 5), _cycles(4, 5)]
+    return out
+
+
+# SHA-256 of canonical_certificate over _symmetric_graphs(), unrooted and
+# rooted at 0, recorded while the certificate cost about |Aut| leaves on them
+# (four 5-cycles alone took about 15 s); pruning by the automorphisms it finds
+# must not change a byte
+SYMMETRIC_PIN_SHA256 = "777a71cdfe78c7a51d1624364e6313b57a214c08a72aef9ad319617fd8a1bc65"
+
+
 def _digest(lines):
     return hashlib.sha256(b"".join(line + b"\n" for line in lines)).hexdigest()
 
@@ -348,6 +388,34 @@ class TestCertificate:
             assert canonical_certificate(g) == write_graph6(g).encode("ascii")
             assert time.perf_counter() - start < 1
 
+    def test_symmetric_bytes_pinned(self):
+        graphs = _symmetric_graphs()
+        assert len(graphs) == 66
+        certs = [c for g in graphs for c in (canonical_certificate(g), canonical_certificate(g, root=0))]
+        assert _digest(certs) == SYMMETRIC_PIN_SHA256
+
+    def test_symmetric_invariant_under_relabeling(self):
+        for i, g in enumerate(_symmetric_graphs()):
+            cert = canonical_certificate(g)
+            for seed in range(3 * i, 3 * i + 3):
+                assert canonical_certificate(relabel(g, seed)) == cert
+
+    def test_symmetric_matches_networkx_isomorphism(self):
+        graphs = _symmetric_graphs()
+        certs = [canonical_certificate(g) for g in graphs]
+        for a, b in itertools.combinations(range(len(graphs)), 2):
+            same = certs[a] == certs[b]
+            assert same == nx.is_isomorphic(to_nx(graphs[a]), to_nx(graphs[b]))
+
+    def test_four_5_cycles_is_fast(self):
+        # |Aut| = 10^4 * 4! = 240,000 and no two vertices are twins; before the
+        # search pruned by the automorphisms it finds this took about 15 s
+        g = _cycles(4, 5)
+        start = time.perf_counter()
+        cert = canonical_certificate(g)
+        assert time.perf_counter() - start < 1
+        assert cert == canonical_certificate(relabel(g, 0))
+
     def test_order_bound(self):
         with pytest.raises(OrderTooLargeError):
             canonical_certificate(Graph(21, []))
@@ -384,6 +452,17 @@ class TestRootedCertificate:
                 assert form_of.setdefault(cert, form) == form
                 assert cert_of.setdefault(form, cert) == cert
         assert len(cert_of) < sum(g.n for g in graphs)
+
+    def test_symmetric_matches_brute_force(self):
+        # Q3, C8 and C8(1, 3) = K_{4,4} are vertex-transitive: every root must
+        # give one certificate, and the graph it encodes, rooted at 0, must be
+        # the root's brute-force rooted form
+        for g in (_hypercube(3), _cycles(1, 8), _circulant(8, (1, 3))):
+            form = _rooted_form(g, 0)
+            certs = {canonical_certificate(g, root=root) for root in range(g.n)}
+            assert all(_rooted_form(g, root) == form for root in range(1, g.n))
+            assert len(certs) == 1
+            assert _rooted_form(parse_graph6(certs.pop().decode("ascii")), 0) == form
 
     def test_root_is_vertex_0_of_the_certificate(self, rng):
         for _ in range(20):
