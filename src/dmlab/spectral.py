@@ -2,7 +2,9 @@
 
 Everything here is exact rational arithmetic (fractions.Fraction); the filter
 tests coordinate equalities across the whole kernel, which floating point
-eigensolvers cannot do reliably.
+eigensolvers cannot do reliably.  Elimination touches only the nonzero
+entries of each pivot row, so its cost follows the nonzeros of the pivot
+rows rather than the square of the order.
 
 The filter is one-sided: RuledOut is a proof of non-magicness, Candidate is
 not a proof of magicness.
@@ -12,9 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from numbers import Rational
+from typing import List, Optional, Sequence, Tuple
 
-from .errors import NotEvenRegularError
+from .errors import DmlabError, NotEvenRegularError
 from .graph import Graph
 
 Vector = Tuple[Fraction, ...]
@@ -47,34 +50,64 @@ def adjacency_matrix(g: Graph) -> Tuple[Vector, ...]:
     return tuple(rows)
 
 
-def _rref(entries, cols):
-    mat = [list(r) for r in entries]
+def _exact(x) -> Fraction:
+    if isinstance(x, Rational):
+        return Fraction(x)
+    raise DmlabError(f"matrix entry {x!r} is not an int or a Fraction")
+
+
+def _exact_rows(rows: Sequence[Sequence]) -> List[List[Fraction]]:
+    """Fresh Fraction copies of the rows; DmlabError unless the rows are
+    non-empty, of equal length, and hold ints and Fractions only."""
+    if not rows:
+        raise DmlabError("the matrix has no rows")
+    cols = len(rows[0])
+    mat = []
+    for row in rows:
+        if len(row) != cols:
+            raise DmlabError(f"ragged matrix: rows of length {cols} and {len(row)}")
+        mat.append([x if type(x) is Fraction else _exact(x) for x in row])
+    return mat
+
+
+def _rref(mat: List[List[Fraction]], cols: int) -> List[int]:
+    """Reduce mat to reduced row echelon form in place; the pivot columns.
+
+    A pivot row has only zeros left of its pivot, and each row update reads
+    and writes only the columns where the normalised pivot row is nonzero.
+    """
     rows = len(mat)
     pivots: List[int] = []
     r = 0
     for c in range(cols):
-        pivot = next((i for i in range(r, rows) if mat[i][c] != 0), None)
+        pivot = next((i for i in range(r, rows) if mat[i][c]), None)
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = mat[r][c]
-        mat[r] = [x / inv for x in mat[r]]
-        for i in range(rows):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        row = mat[r]
+        inv = row[c]
+        support = [(j, row[j] / inv) for j in range(c, cols) if row[j]]
+        for j, b in support:
+            row[j] = b
+        for other in mat:
+            f = other[c]
+            if f and other is not row:
+                for j, b in support:
+                    other[j] -= f * b
         pivots.append(c)
         r += 1
         if r == rows:
             break
-    return mat, pivots
+    return pivots
 
 
-def nullspace_basis(rows: Tuple[Vector, ...]) -> NullspaceBasis:
-    """Kernel basis of a non-empty tuple of equal-length rows: one vector per
-    free column, 1 at the free coordinate."""
-    cols = len(rows[0])
-    mat, pivots = _rref(rows, cols)
+def nullspace_basis(rows: Sequence[Sequence]) -> NullspaceBasis:
+    """Exact kernel basis of a non-empty sequence of equal-length rows of
+    ints and Fractions: one vector per free column, 1 at the free coordinate.
+    The rows are not modified; other input raises DmlabError."""
+    mat = _exact_rows(rows)
+    cols = len(mat[0])
+    pivots = _rref(mat, cols)
     pivot_set = set(pivots)
     free = [c for c in range(cols) if c not in pivot_set]
     vectors = []

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import QUARTIC_10, compositions, random_graph
-from dmlab.errors import NotEvenRegularError
+from dmlab.errors import DmlabError, NotEvenRegularError
 from dmlab.graph import Graph, parse_graph6
 from dmlab.labeling import CenteredLabeling, verify, wreath_labeling
 from dmlab.qw import build_qw, build_wreath, profile_to_sequence
@@ -151,6 +151,120 @@ class TestKernelDimension:
         rng = random.Random(31)
         for _ in range(200):
             self.check(random_graph(rng, rng.randint(1, 14), rng.choice([0.2, 0.4, 0.6])))
+
+
+def reference_basis(rows):
+    """The dense elimination: every entry of every eliminated row is updated,
+    in Fraction arithmetic; (vectors, pivot_columns) of nullspace_basis."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    cols = len(mat[0])
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = mat[r][c]
+        mat[r] = [x / inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        if len(pivots) == len(mat):
+            break
+    vectors = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        v = [Fraction(0)] * cols
+        v[fc] = Fraction(1)
+        for k, pc in enumerate(pivots):
+            v[pc] = -mat[k][fc]
+        vectors.append(tuple(v))
+    return tuple(vectors), tuple(pivots)
+
+
+class TestAgainstDenseElimination:
+    """The sparse row updates give the dense elimination's basis entry for
+    entry, so the search keeps its free coordinates and printed labelings."""
+
+    def check(self, rows):
+        basis = nullspace_basis(rows)
+        assert (basis.vectors, basis.pivot_columns) == reference_basis(rows)
+        assert all(type(x) is Fraction for v in basis.vectors for x in v)
+
+    def test_connected_quartic_order_10(self):
+        for s in QUARTIC_10:
+            self.check(adjacency_matrix(parse_graph6(s)))
+
+    def test_quasi_wreath_profiles(self):
+        for parts in qw_profiles(8):
+            self.check(adjacency_matrix(build_qw(profile_to_sequence(parts))))
+
+    def test_random_graphs(self):
+        rng = random.Random(37)
+        for _ in range(200):
+            g = random_graph(rng, rng.randint(1, 14), rng.choice([0.2, 0.4, 0.6]))
+            self.check(adjacency_matrix(g))
+
+    def test_random_rational_rows(self):
+        rng = random.Random(41)
+        values = [Fraction(a, b) for a in range(-3, 4) for b in (1, 2, 3, 5)]
+        for _ in range(300):
+            rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+            mat = [
+                [rng.choice(values) if rng.random() < 0.5 else Fraction(0) for _ in range(cols)]
+                for _ in range(rows)
+            ]
+            if rows > 1:  # a dependent row, so that the rank drops often
+                c = rng.choice(values)
+                mat[-1] = [a + c * b for a, b in zip(mat[0], mat[1])]
+            self.check(tuple(tuple(row) for row in mat))
+
+    def test_list_rows_are_not_modified(self):
+        rng = random.Random(43)
+        for _ in range(50):
+            n = rng.randint(2, 8)
+            rows = [
+                [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)]
+                for _ in range(n)
+            ]
+            before = [list(row) for row in rows]
+            nullspace_basis(rows)
+            assert rows == before
+
+
+class TestNullspaceInput:
+    def test_int_rows_give_an_exact_basis(self):
+        for rows, vector in [
+            (((1, 2), (2, 4)), (-2, 1)),
+            (((3, 1, 0), (0, 2, 1)), (Fraction(1, 6), Fraction(-1, 2), 1)),
+        ]:
+            (v,) = nullspace_basis(rows).vectors
+            assert v == vector
+            assert all(type(x) is Fraction for x in v)
+
+    @pytest.mark.parametrize("entry", [0.5, 1.0, complex(1, 0), "1", None])
+    def test_non_rational_entry_rejected(self, entry):
+        with pytest.raises(DmlabError, match="not an int or a Fraction"):
+            nullspace_basis(((Fraction(1), Fraction(0)), (Fraction(0), entry)))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0), Fraction(1))),
+            ((Fraction(1), Fraction(0), Fraction(1)), (Fraction(0), Fraction(1))),
+            ((1, 0), ()),
+        ],
+    )
+    def test_ragged_rows_rejected(self, rows):
+        with pytest.raises(DmlabError, match="ragged"):
+            nullspace_basis(rows)
+
+    @pytest.mark.parametrize("rows", [(), []])
+    def test_no_rows_rejected(self, rows):
+        with pytest.raises(DmlabError, match="no rows"):
+            nullspace_basis(rows)
 
 
 def _in_span(vectors, target):
