@@ -3,11 +3,12 @@
 Strategy: row-by-row edge completion over labeled graphs with three symmetry
 quotients baked in (vertex 0's neighborhood is fixed to {1..r}; vertices not
 yet incident to any edge are introduced in index order; a finished labeled
-graph is kept only if vertex 0 has the largest vertex invariant) and one
-rejection: at each row v <= r + 1, a partial graph isomorphic, with vertex 0
-fixed, to one already walked at row v is dropped.  A kept leaf with a new
-certificate yields the graph that certificate encodes.  The counts match OEIS
-through order 12, the largest order accepted.
+graph is kept only if vertex 0 has the largest vertex invariant), one
+rejection (at each row v <= r + 1, a partial graph isomorphic, with vertex 0
+fixed, to one already walked at row v is dropped) and one twin rule (row v
+takes twins, touched vertices with equal neighbour sets, in index order).  A
+kept leaf with a new certificate yields the graph that certificate encodes.
+The counts match OEIS through order 13, the largest order accepted.
 
 Nothing is lost.  Take any graph of the class and call a vertex of largest
 invariant (triangles at v, then the descending common-neighbour counts of v
@@ -21,8 +22,21 @@ partial graph on 0..fresh-1, up to renaming fresh..n-1, filtered by
 properties that only look at which vertex is 0.  Two partial graphs related
 by an isomorphism fixing 0 therefore lead to the same classes.  By induction
 on v from the last row down, every class that the walk without rejection
-reaches from a node at row v is still yielded: a dropped node leads to the
-classes of the walked node it repeats.
+or twin rule reaches from a node at row v is still yielded: a dropped node
+leads to the classes of the walked node it repeats.
+
+Nor does the twin rule lose anything.  Row v joins v to a set S of touched
+vertices (above v, below fresh) and to the next fresh ones.  Two touched
+vertices with equal neighbour sets, read before v's edges are added, are not
+adjacent (neither is its own neighbour) and are neither 0 nor v, so swapping
+them is an automorphism of the partial graph that fixes 0 and v.  It maps the
+child for S onto the child for the swapped S, at the same row with the same
+fresh, so the two children lead to the same classes.  Permuting a twin class
+maps any chosen subset of it onto the class's first vertices in index order,
+so the walk takes only those: a vertex with an earlier twin is chosen only
+with that twin.  The induction above carries over, a skipped child leading
+to the classes of the kept child it repeats, and the kept choice comes
+first in the walk's order.
 """
 
 from __future__ import annotations
@@ -34,7 +48,7 @@ from typing import Iterator, List, Sequence
 from .errors import EnumerationError, InvariantError
 from .graph import Graph, canonical_certificate, is_connected, is_regular, parse_graph6
 
-GUARANTEED_MAX_ORDER = 12
+GUARANTEED_MAX_ORDER = 13
 
 
 @dataclass(frozen=True)
@@ -96,10 +110,19 @@ def enumerate_regular(task: EnumerationTask) -> Iterator[Graph]:
         near = adj[v]
         need = r - len(near)
         touched = [u for u in range(v + 1, fresh) if len(adj[u]) < r and u not in near]
+        twin = {}  # touched vertex -> the last touched vertex before it with its neighbours
+        last = {}
+        for u in touched:
+            nb = frozenset(adj[u])
+            if nb in last:
+                twin[u] = last[nb]
+            last[nb] = u
         max_new = min(need, n - fresh)
         for q in range(max_new + 1):
             new = list(range(fresh, fresh + q))
             for old in combinations(touched, need - q):
+                if any(u in twin and twin[u] not in old for u in old):
+                    continue  # a twin permutation maps old onto an earlier choice
                 for u in (*old, *new):
                     near.add(u)
                     adj[u].add(v)

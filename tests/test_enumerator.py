@@ -18,7 +18,8 @@ from dmlab.graph import Graph, canonical_certificate, is_connected, is_regular, 
 from dmlab.qw import build_qw, build_wreath, profile_to_sequence
 
 # OEIS A006820: connected quartic graphs on n vertices; the order-12 count
-# (1544) is pinned by TestCensus.test_order_12, which enumerates it once
+# (1544) is pinned by TestCensus.test_order_12, which enumerates it once, and
+# the order-13 count (10,778) by the slow-marked test_connected_quartic_13
 CONNECTED_QUARTIC = {5: 1, 6: 1, 7: 2, 8: 6, 9: 16, 10: 59, 11: 265}
 
 # OEIS A002851: connected cubic graphs on n vertices
@@ -54,6 +55,12 @@ class TestCounts:
     @pytest.mark.parametrize("n,count", sorted(CONNECTED_QUINTIC.items()))
     def test_connected_quintic_oeis(self, n, count):
         assert len(list(enumerate_regular(EnumerationTask(n, 5, connected=True)))) == count
+
+    @pytest.mark.slow
+    def test_connected_quartic_13(self):
+        # OEIS A006820 at the largest order accepted; about a minute, so it
+        # runs under `-m slow` and not in Tier-1
+        assert sum(1 for _ in enumerate_regular(EnumerationTask(13, 4))) == 10778
 
     def test_all_quartic_order_10_oeis(self):
         # OEIS A033301: quartic graphs, connected or not; at n = 10 the one
@@ -125,9 +132,10 @@ class TestOutputProperties:
 
     def test_few_certificate_calls(self, monkeypatch):
         # the vertex-invariant quotient and the rejection of isomorphic partial
-        # graphs leave few labeled leaves to certify: 98 at order 10, against
-        # 657 without the rejection and 21,739 without either; the rejection
-        # itself makes about 900 rooted calls
+        # graphs leave few labeled leaves to certify: 87 at order 10 with the
+        # twin rule, 98 without it, against 657 without the rejection and
+        # 21,739 without either (both without the twin rule); the rejection
+        # itself makes 664 rooted calls (903 without the twin rule)
         calls = []
 
         def counted(g, root=None):
@@ -139,6 +147,21 @@ class TestOutputProperties:
         assert len(graphs) == 59
         assert 59 <= calls.count(None) <= 150
         assert len(calls) <= 1200
+
+    def test_twin_rule_cuts_certificate_calls(self, monkeypatch):
+        # taking twins in index order skips the children a twin swap maps onto
+        # earlier ones: 87 unrooted and 664 rooted calls at order 10, against
+        # 98 and 903 when every combination of touched vertices is walked
+        calls = []
+
+        def counted(g, root=None):
+            calls.append(root)
+            return canonical_certificate(g, root=root)
+
+        monkeypatch.setattr(enumerator, "canonical_certificate", counted)
+        assert sum(1 for _ in enumerate_regular(EnumerationTask(10))) == 59
+        assert calls.count(None) <= 90
+        assert len(calls) - calls.count(None) <= 700
 
     def test_first_class_comes_before_the_walk_ends(self, monkeypatch):
         # the generator yields each class as soon as it is certified
@@ -188,8 +211,8 @@ class TestOutputProperties:
 
 class TestErrors:
     def test_order_above_guarantee(self):
-        with pytest.raises(EnumerationError, match="order 12"):
-            list(enumerate_regular(EnumerationTask(13, 4)))
+        with pytest.raises(EnumerationError, match="order 13"):
+            list(enumerate_regular(EnumerationTask(14, 4)))
 
     def test_valency_at_least_order(self):
         with pytest.raises(EnumerationError):
