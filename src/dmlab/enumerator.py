@@ -5,10 +5,15 @@ quotients baked in (vertex 0's neighborhood is fixed to {1..r}; vertices not
 yet incident to any edge are introduced in index order; a finished labeled
 graph is kept only if vertex 0 has the largest vertex invariant), one
 rejection (at each row v <= r + 1, a partial graph isomorphic, with vertex 0
-fixed, to one already walked at row v is dropped) and one twin rule (row v
-takes twins, touched vertices with equal neighbour sets, in index order).  A
-kept leaf with a new certificate yields the graph that certificate encodes.
-The counts match OEIS through order 13, the largest order accepted.
+fixed, to one already walked at row v is dropped), one prune (at rows r and
+r + 1, a partial graph in which some vertex has more triangles than vertex 0
+is dropped first) and one twin rule (row v takes twins, touched vertices with
+equal neighbour sets, in index order).  Kept leaves are told apart by a seeded
+certificate, whose search starts from the cells of equal triangle count; it
+is equal exactly when the graphs are isomorphic (graph.py says why its
+pruning stays sound), so the first leaf of each class is found as with the
+canonical certificate, which then runs once per class to yield the graph it
+encodes.  The counts match OEIS through order 13, the largest order accepted.
 
 Nothing is lost.  Take any graph of the class and call a vertex of largest
 invariant (triangles at v, then the descending common-neighbour counts of v
@@ -24,6 +29,17 @@ by an isomorphism fixing 0 therefore lead to the same classes.  By induction
 on v from the last row down, every class that the walk without rejection
 or twin rule reaches from a node at row v is still yielded: a dropped node
 leads to the classes of the walked node it repeats.
+
+The prune drops only nodes below which no leaf is kept.  Rows 1..r-1 fix
+every edge among 0's neighbours 1..r, so from row r on 0's triangle count is
+final, and adding edges never lowers any vertex's count.  A vertex with more
+triangles than 0 has more in every leaf below the node, and the invariant
+compares triangles first, so no such leaf passes the leaf quotient.  A
+dropped node is not added to walked; a later node at its row with the same
+rooted certificate is isomorphic to it with 0 fixed, so it holds such a
+vertex too and is dropped by the same test.  The yields and their order are
+therefore unchanged.  Testing at every row cut more leaves but cost more
+than it saved.
 
 Nor does the twin rule lose anything.  Row v joins v to a set S of touched
 vertices (above v, below fresh) and to the next fresh ones.  Two touched
@@ -46,7 +62,15 @@ from itertools import combinations
 from typing import Iterator, List, Sequence
 
 from .errors import EnumerationError, InvariantError
-from .graph import Graph, canonical_certificate, is_connected, is_regular, parse_graph6
+from .graph import (
+    Graph,
+    _seeded_certificate,
+    _triangles,
+    canonical_certificate,
+    is_connected,
+    is_regular,
+    parse_graph6,
+)
 
 GUARANTEED_MAX_ORDER = 13
 
@@ -77,7 +101,7 @@ def enumerate_regular(task: EnumerationTask) -> Iterator[Graph]:
         adj[0].add(v)
         adj[v].add(0)
 
-    seen = set()
+    seen = set()  # seeded certificates of the classes yielded
     walked = set()  # (row, certificate rooted at 0) of the partial graphs walked
 
     def leaf():
@@ -86,10 +110,10 @@ def enumerate_regular(task: EnumerationTask) -> Iterator[Graph]:
         g = Graph._from_neighbors(tuple(tuple(sorted(a)) for a in adj))
         if task.connected and not is_connected(g):
             return
-        cert = canonical_certificate(g)
-        if cert not in seen:
-            seen.add(cert)
-            yield parse_graph6(cert.decode("ascii"))
+        key = _seeded_certificate(g)
+        if key not in seen:
+            seen.add(key)
+            yield parse_graph6(canonical_certificate(g).decode("ascii"))
 
     def complete_row(v: int, fresh: int):
         # fresh = smallest vertex with no incident edge yet (untouched suffix)
@@ -99,6 +123,10 @@ def enumerate_regular(task: EnumerationTask) -> Iterator[Graph]:
             yield from leaf()
             return
         if v <= r + 1:
+            if v >= r:
+                top = _triangles(adj, 0)  # final: rows 1..r-1 fixed every edge among 1..r
+                if any(_triangles(adj, u) > top for u in range(1, fresh)):
+                    return  # no count falls as edges are added, so no leaf below is kept
             # only vertices below fresh have edges, so adj[:fresh] is a graph
             partial = Graph._from_neighbors(tuple(tuple(sorted(a)) for a in adj[:fresh]))
             key = (v, canonical_certificate(partial, root=0))

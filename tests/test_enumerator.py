@@ -14,7 +14,14 @@ from dmlab.enumerator import (
     enumerate_regular,
 )
 from dmlab.errors import EnumerationError
-from dmlab.graph import Graph, canonical_certificate, is_connected, is_regular, write_graph6
+from dmlab.graph import (
+    Graph,
+    _seeded_certificate,
+    canonical_certificate,
+    is_connected,
+    is_regular,
+    write_graph6,
+)
 from dmlab.qw import build_qw, build_wreath, profile_to_sequence
 
 # OEIS A006820: connected quartic graphs on n vertices; the order-12 count
@@ -35,6 +42,34 @@ SORTED_ORDER_10_SHA256 = {
     4: "223c085c6dc61383c497ad4ed9bc563f6a0f34e50854781e8ff37a5d9a3a579e",
     3: "89536fe87c20bd07de498652220a03fd5339e7c2004b6e84e108bc9cda17fea8",
 }
+
+# SHA-256 of `dmlab enumerate --order 10` stdout (with --valency 3 for the
+# second): the classes in the order the walk first reaches them, recorded
+# before the triangle-count row prune and the seeded leaf key were added;
+# pruning nodes that keep no leaf must not move a class
+UNSORTED_ORDER_SHA256 = {
+    4: "3de0eaeac09b5ad3cb477275a6749f88794ea480955780c6184401e4b3afea32",
+    3: "d7d05332034f8a69c343d248fd626393842764404f6c2e46ad165508c5964036",
+}
+
+
+def _count_certificates(monkeypatch):
+    """Log each certificate the enumerator asks for: "leaf" for the seeded key
+    of a kept leaf, "class" for the canonical form of a new class and
+    "rooted" for a partial graph at the rows of vertex 0's neighbours."""
+    calls = []
+
+    def canonical(g, root=None):
+        calls.append("class" if root is None else "rooted")
+        return canonical_certificate(g, root=root)
+
+    def seeded(g):
+        calls.append("leaf")
+        return _seeded_certificate(g)
+
+    monkeypatch.setattr(enumerator, "canonical_certificate", canonical)
+    monkeypatch.setattr(enumerator, "_seeded_certificate", seeded)
+    return calls
 
 
 class TestCounts:
@@ -58,8 +93,8 @@ class TestCounts:
 
     @pytest.mark.slow
     def test_connected_quartic_13(self):
-        # OEIS A006820 at the largest order accepted; about a minute, so it
-        # runs under `-m slow` and not in Tier-1
+        # OEIS A006820 at the largest order accepted; about 30 s on a 2-CPU
+        # machine, so it runs under `-m slow` and not in Tier-1
         assert sum(1 for _ in enumerate_regular(EnumerationTask(13, 4))) == 10778
 
     def test_all_quartic_order_10_oeis(self):
@@ -130,48 +165,57 @@ class TestOutputProperties:
         text = "".join(s + "\n" for s in QUARTIC_10)
         assert hashlib.sha256(text.encode("ascii")).hexdigest() == SORTED_ORDER_10_SHA256[4]
 
+    @pytest.mark.parametrize("valency", sorted(UNSORTED_ORDER_SHA256))
+    def test_unsorted_output_pinned(self, capsys, valency):
+        assert main(["enumerate", "--order", "10", "--valency", str(valency)]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest()
+        assert digest == UNSORTED_ORDER_SHA256[valency]
+
     def test_few_certificate_calls(self, monkeypatch):
         # the vertex-invariant quotient and the rejection of isomorphic partial
         # graphs leave few labeled leaves to certify: 87 at order 10 with the
         # twin rule, 98 without it, against 657 without the rejection and
         # 21,739 without either (both without the twin rule); the rejection
-        # itself makes 664 rooted calls (903 without the twin rule)
-        calls = []
-
-        def counted(g, root=None):
-            calls.append(root)
-            return canonical_certificate(g, root=root)
-
-        monkeypatch.setattr(enumerator, "canonical_certificate", counted)
+        # itself makes 399 rooted calls (551 without the twin rule; 664 and
+        # 903 without the triangle-count row prune), and each of the 59
+        # classes costs one canonical certificate more
+        calls = _count_certificates(monkeypatch)
         graphs = list(enumerate_regular(EnumerationTask(10, 4, connected=True)))
         assert len(graphs) == 59
-        assert 59 <= calls.count(None) <= 150
+        assert 59 <= calls.count("leaf") <= 150
+        assert calls.count("class") == 59
         assert len(calls) <= 1200
 
     def test_twin_rule_cuts_certificate_calls(self, monkeypatch):
         # taking twins in index order skips the children a twin swap maps onto
-        # earlier ones: 87 unrooted and 664 rooted calls at order 10, against
-        # 98 and 903 when every combination of touched vertices is walked
-        calls = []
-
-        def counted(g, root=None):
-            calls.append(root)
-            return canonical_certificate(g, root=root)
-
-        monkeypatch.setattr(enumerator, "canonical_certificate", counted)
+        # earlier ones: 87 leaf and 399 rooted calls at order 10, against 98
+        # and 551 when every combination of touched vertices is walked
+        calls = _count_certificates(monkeypatch)
         assert sum(1 for _ in enumerate_regular(EnumerationTask(10))) == 59
-        assert calls.count(None) <= 90
-        assert len(calls) - calls.count(None) <= 700
+        assert calls.count("leaf") <= 90
+        assert calls.count("rooted") <= 700
+
+    def test_triangle_prune_cuts_rooted_calls(self, monkeypatch):
+        # at rows r and r + 1 a partial graph with a vertex of more triangles
+        # than vertex 0 is dropped before its rooted certificate: at order 10,
+        # 399 rooted certificates and 241 leaves reaching the vertex-invariant
+        # quotient, against 664 and 350 without the prune
+        calls = _count_certificates(monkeypatch)
+        leaves = []
+        root_is_largest = enumerator._root_is_largest
+
+        def counted(adj):
+            leaves.append(1)
+            return root_is_largest(adj)
+
+        monkeypatch.setattr(enumerator, "_root_is_largest", counted)
+        assert sum(1 for _ in enumerate_regular(EnumerationTask(10))) == 59
+        assert calls.count("rooted") <= 450
+        assert len(leaves) <= 260
 
     def test_first_class_comes_before_the_walk_ends(self, monkeypatch):
         # the generator yields each class as soon as it is certified
-        calls = []
-
-        def counted(g, root=None):
-            calls.append(root)
-            return canonical_certificate(g, root=root)
-
-        monkeypatch.setattr(enumerator, "canonical_certificate", counted)
+        calls = _count_certificates(monkeypatch)
         total = sum(1 for _ in enumerate_regular(EnumerationTask(10)))
         full_run = len(calls)
         calls.clear()

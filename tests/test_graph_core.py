@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_graph, relabel, to_nx
+from conftest import QUARTIC_10, random_graph, relabel, to_nx
 from dmlab.errors import Graph6Error, OrderTooLargeError
 from dmlab.graph import (
     Graph,
+    _seeded_certificate,
     canonical_certificate,
     is_connected,
     is_regular,
@@ -151,6 +152,22 @@ def _symmetric_graphs():
 # (four 5-cycles alone took about 15 s); pruning by the automorphisms it finds
 # must not change a byte
 SYMMETRIC_PIN_SHA256 = "777a71cdfe78c7a51d1624364e6313b57a214c08a72aef9ad319617fd8a1bc65"
+
+
+def _shrikhande():
+    """The Cayley graph of Z4 x Z4 on +-(1, 0), +-(0, 1), +-(1, 1): srg(16, 6, 2, 2)."""
+    steps = ((1, 0), (0, 1), (1, 1))
+    return Graph(16, [
+        (4 * a + b, 4 * ((a + x) % 4) + (b + y) % 4) for a in range(4) for b in range(4) for x, y in steps
+    ])
+
+
+def _rook(k):
+    """The k x k rook's graph: cells adjacent when they share a row or a column."""
+    cells = list(itertools.product(range(k), repeat=2))
+    return Graph(k * k, [
+        (k * a + b, k * c + d) for (a, b), (c, d) in itertools.combinations(cells, 2) if a == c or b == d
+    ])
 
 
 def _digest(lines):
@@ -422,6 +439,48 @@ class TestCertificate:
 
     def test_wreath3_is_octahedron(self):
         assert canonical_certificate(build_wreath(3)) == canonical_certificate(OCTAHEDRON)
+
+
+class TestSeededCertificate:
+    # the enumerator's dedup key: equal exactly when the graphs are isomorphic,
+    # although its search starts from the cells of equal triangle count
+
+    def test_symmetric_matches_networkx_isomorphism(self):
+        graphs = _symmetric_graphs()
+        keys = [_seeded_certificate(g) for g in graphs]
+        for i, g in enumerate(graphs):
+            assert nx.is_isomorphic(to_nx(parse_graph6(keys[i].decode("ascii"))), to_nx(g))
+            for seed in range(3 * i, 3 * i + 3):
+                assert _seeded_certificate(relabel(g, seed)) == keys[i]
+        for a, b in itertools.combinations(range(len(graphs)), 2):
+            same = keys[a] == keys[b]
+            assert same == nx.is_isomorphic(to_nx(graphs[a]), to_nx(graphs[b]))
+
+    def test_unequal_triangle_counts(self):
+        # the 59 connected quartic graphs of order 10, pairwise non-isomorphic;
+        # most have vertices of different triangle counts, so the seed splits
+        graphs = [parse_graph6(line) for line in QUARTIC_10]
+        keys = [_seeded_certificate(g) for g in graphs]
+        assert len(set(keys)) == len(graphs)
+        for i, g in enumerate(graphs):
+            assert _seeded_certificate(relabel(g, i)) == keys[i]
+
+    def test_shrikhande_is_not_the_rook_graph(self):
+        # both are srg(16, 6, 2, 2), so every vertex of either has 6 triangles
+        # and the seed is one cell; they are not isomorphic
+        shrikhande, rook = _shrikhande(), _rook(4)
+        assert not nx.is_isomorphic(to_nx(shrikhande), to_nx(rook))
+        for g in (shrikhande, rook):
+            assert is_regular(g, 6)
+            assert all(
+                sum(1 for u, w in itertools.combinations(g.neighbors[v], 2) if g.has_edge(u, w)) == 6
+                for v in range(g.n)
+            )
+        key = _seeded_certificate(shrikhande)
+        assert key != _seeded_certificate(rook)
+        for seed in range(3):
+            assert _seeded_certificate(relabel(shrikhande, seed)) == key
+            assert _seeded_certificate(relabel(rook, seed)) == _seeded_certificate(rook)
 
 
 def _rooted_form(g, root):
