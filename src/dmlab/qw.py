@@ -131,12 +131,14 @@ class Classification:
 def classify(seq: QWSequence) -> Classification:
     """Distance magic iff every segment length is odd and the number of
     segments of length = 1 (mod 4) is even."""
-    segs = segments(seq)
-    even = [s for s in segs if s.kind == TYPE_OTHER]
-    if even:
+    # a segment is a zero bit and the run of ones after it, so its length is
+    # the run's plus one: an odd run is an even segment, a run of 0 mod 4 type B
+    ones = [len(run) for run in bytes(seq.bits).split(b"\0")[1:]]
+    if any(a % 2 for a in ones):
+        even = [s for s in segments(seq) if s.kind == TYPE_OTHER]
         where = ", ".join(f"segment {s.index} (length {s.length})" for s in even)
         return Classification(False, f"segments of even length: {where}")
-    b_count = sum(1 for s in segs if s.kind == TYPE_B)
+    b_count = sum(a % 4 == 0 for a in ones)
     if b_count % 2:
         return Classification(
             False, f"odd number of type-B segments (length = 1 mod 4): {b_count}"

@@ -1,10 +1,13 @@
 """Exact adjacency-kernel computation and the eigenvector-based filter.
 
-Everything here is exact rational arithmetic (fractions.Fraction); the filter
-tests coordinate equalities across the whole kernel, which floating point
-eigensolvers cannot do reliably.  Elimination touches only the nonzero
-entries of each pivot row, so its cost follows the nonzeros of the pivot
-rows rather than the square of the order.
+Everything here is exact rational arithmetic; the filter tests coordinate
+equalities across the whole kernel, which floating point eigensolvers cannot
+do reliably.  Entries stay ints until a division is inexact, and only then
+become fractions.Fraction: adjacency matrices have mostly unit pivots, so
+their elimination runs almost entirely on ints.  The kernel vectors are
+Fractions throughout.  Elimination touches only the nonzero entries of each
+pivot row, so its cost follows the nonzeros of the pivot rows rather than
+the square of the order.
 
 The filter is one-sided: RuledOut is a proof of non-magicness, Candidate is
 not a proof of magicness.
@@ -20,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 from .errors import DmlabError, NotEvenRegularError
 from .graph import Graph
 
-Vector = Tuple[Fraction, ...]
+Vector = Tuple[Fraction, ...]  # a kernel vector; matrix rows may also hold ints
 
 
 @dataclass(frozen=True)
@@ -38,27 +41,28 @@ class FilterVerdict:
     reason: Optional[str] = None
 
 
-def adjacency_matrix(g: Graph) -> Tuple[Vector, ...]:
-    """The adjacency matrix as a tuple of Fraction rows."""
-    zero, one = Fraction(0), Fraction(1)
+def adjacency_matrix(g: Graph) -> Tuple[Tuple[int, ...], ...]:
+    """The adjacency matrix as a tuple of int (0/1) rows."""
     rows = []
     for v in range(g.n):
-        row = [zero] * g.n
+        row = [0] * g.n
         for w in g.neighbors[v]:
-            row[w] = one
+            row[w] = 1
         rows.append(tuple(row))
     return tuple(rows)
 
 
-def _exact(x) -> Fraction:
+def _exact(x):
+    """x as an int when it is integral, else as a Fraction."""
     if isinstance(x, Rational):
-        return Fraction(x)
+        return x.numerator if x.denominator == 1 else Fraction(x)
     raise DmlabError(f"matrix entry {x!r} is not an int or a Fraction")
 
 
-def _exact_rows(rows: Sequence[Sequence]) -> List[List[Fraction]]:
-    """Fresh Fraction copies of the rows; DmlabError unless the rows are
-    non-empty, of equal length, and hold ints and Fractions only."""
+def _exact_rows(rows: Sequence[Sequence]) -> List[List]:
+    """Fresh copies of the rows, integral entries as ints and the others as
+    Fractions; DmlabError unless the rows are non-empty, of equal length, and
+    hold ints and Fractions only."""
     if not rows:
         raise DmlabError("the matrix has no rows")
     cols = len(rows[0])
@@ -66,15 +70,16 @@ def _exact_rows(rows: Sequence[Sequence]) -> List[List[Fraction]]:
     for row in rows:
         if len(row) != cols:
             raise DmlabError(f"ragged matrix: rows of length {cols} and {len(row)}")
-        mat.append([x if type(x) is Fraction else _exact(x) for x in row])
+        mat.append([x if type(x) is int else _exact(x) for x in row])
     return mat
 
 
-def _rref(mat: List[List[Fraction]], cols: int) -> List[int]:
+def _rref(mat: List[List], cols: int) -> List[int]:
     """Reduce mat to reduced row echelon form in place; the pivot columns.
 
     A pivot row has only zeros left of its pivot, and each row update reads
     and writes only the columns where the normalised pivot row is nonzero.
+    Normalising divides exactly: an integral quotient is stored as an int.
     """
     rows = len(mat)
     pivots: List[int] = []
@@ -85,10 +90,13 @@ def _rref(mat: List[List[Fraction]], cols: int) -> List[int]:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
         row = mat[r]
-        inv = row[c]
-        support = [(j, row[j] / inv) for j in range(c, cols) if row[j]]
-        for j, b in support:
-            row[j] = b
+        lead = row[c]
+        support = [(j, row[j]) for j in range(c, cols) if row[j]]
+        if lead != 1:
+            for k, (j, a) in enumerate(support):
+                q, rest = divmod(a, lead)
+                row[j] = Fraction(a, lead) if rest else q
+                support[k] = j, row[j]
         for other in mat:
             f = other[c]
             if f and other is not row:
@@ -115,7 +123,7 @@ def nullspace_basis(rows: Sequence[Sequence]) -> NullspaceBasis:
         v = [Fraction(0)] * cols
         v[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
-            v[pc] = -mat[r][fc]
+            v[pc] = Fraction(-mat[r][fc])
         vectors.append(tuple(v))
     return NullspaceBasis(len(vectors), tuple(vectors), tuple(pivots))
 

@@ -13,6 +13,7 @@ from dmlab.qw import (
     TYPE_A,
     TYPE_B,
     TYPE_OTHER,
+    Classification,
     build_qw,
     build_wreath,
     classify,
@@ -253,6 +254,26 @@ class TestClassifier:
     )
     def test_verdicts(self, parts, expected):
         assert classify(profile_to_sequence(parts)).distance_magic == expected
+
+    def test_matches_segment_rule(self):
+        def by_segments(seq):
+            segs = segments(seq)
+            even = [s for s in segs if s.kind == TYPE_OTHER]
+            if even:
+                where = ", ".join(f"segment {s.index} (length {s.length})" for s in even)
+                return Classification(False, f"segments of even length: {where}")
+            b_count = sum(1 for s in segs if s.kind == TYPE_B)
+            if b_count % 2:
+                return Classification(
+                    False, f"odd number of type-B segments (length = 1 mod 4): {b_count}"
+                )
+            return Classification(True)
+
+        profiles = [p for m in range(3, 17) for p in compositions(m)]
+        assert len(profiles) == 1595
+        for parts in profiles:
+            seq = profile_to_sequence(parts)
+            assert classify(seq) == by_segments(seq), parts
 
     def test_reasons(self):
         assert "even length" in classify(profile_to_sequence((4,))).reason

@@ -153,6 +153,22 @@ class TestCountMode:
         outcome = find_labeling(build_qw(profile_to_sequence(parts)), SearchOptions(mode=COUNT_ALL))
         assert outcome.stats["nodes"] <= ceiling
 
+    @pytest.mark.parametrize(
+        "parts,mode,stats",
+        [
+            ((7,), COUNT_ALL, (3536, 16, 5552)),
+            ((3, 3), COUNT_ALL, (681, 28, 840)),
+            ((11,), FIND_ONE, (11, 0, 4)),
+            ((3, 5, 3, 5), FIND_ONE, (13, 2, 7)),
+            ((3, 3, 3), FIND_ONE, (7, 1, 0)),
+        ],
+    )
+    def test_work_pinned(self, parts, mode, stats):
+        # a kernel basis with other pivots or vectors moves these counts
+        outcome = find_labeling(build_qw(profile_to_sequence(parts)), SearchOptions(mode=mode))
+        assert outcome.verdict == FOUND
+        assert outcome.stats == dict(zip(("nodes", "prune_interval", "prune_kernel"), stats))
+
     def test_count_zero_on_non_magic(self):
         outcome = find_labeling(
             build_qw(profile_to_sequence((2, 2))), SearchOptions(mode=COUNT_ALL)

@@ -58,6 +58,12 @@ class TestAdjacency:
         m = adjacency_matrix(K5)
         assert all(m[i][j] == (0 if i == j else 1) for i in range(5) for j in range(5))
 
+    def test_rows_hold_ints(self, rng):
+        graphs = [C4, K5, build_wreath(3)]
+        graphs += [random_graph(rng, rng.randint(1, 12)) for _ in range(20)]
+        for g in graphs:
+            assert all(type(x) is int for row in adjacency_matrix(g) for x in row)
+
     def test_row_sums_are_degrees(self, rng):
         for _ in range(20):
             g = random_graph(rng, rng.randint(1, 12))
@@ -192,6 +198,7 @@ class TestAgainstDenseElimination:
         basis = nullspace_basis(rows)
         assert (basis.vectors, basis.pivot_columns) == reference_basis(rows)
         assert all(type(x) is Fraction for v in basis.vectors for x in v)
+        return basis
 
     def test_connected_quartic_order_10(self):
         for s in QUARTIC_10:
@@ -220,6 +227,31 @@ class TestAgainstDenseElimination:
                 c = rng.choice(values)
                 mat[-1] = [a + c * b for a, b in zip(mat[0], mat[1])]
             self.check(tuple(tuple(row) for row in mat))
+
+    def test_random_int_rows(self):
+        # pivots of +-2 and +-3 make some divisions inexact and others exact
+        rng = random.Random(47)
+        inexact = 0
+        for _ in range(300):
+            rows, cols = rng.randint(2, 7), rng.randint(1, 7)
+            mat = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+            mat[-1] = [a * x + b * y for x, y in zip(mat[0], mat[1])]
+            vectors = self.check(mat).vectors
+            inexact += any(x.denominator > 1 for v in vectors for x in v)
+        assert inexact >= 100  # 134 of the 300 bases have a non-integer entry
+
+    def test_mixed_rows(self):
+        # ints, bools, integral Fractions (stored as ints) and other Fractions
+        rng = random.Random(53)
+        values = [0, 1, -2, 3, True, False, Fraction(4, 2), Fraction(-6, 3), Fraction(1, 2),
+                  Fraction(-2, 3), Fraction(5, 3)]
+        for _ in range(300):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+            mat = [[rng.choice(values) for _ in range(cols)] for _ in range(rows)]
+            if rows > 2:
+                mat[-1] = [x + 2 * y for x, y in zip(mat[0], mat[1])]
+            self.check(mat)
 
     def test_list_rows_are_not_modified(self):
         rng = random.Random(43)
