@@ -1,4 +1,3 @@
-import itertools
 import random
 import tracemalloc
 
@@ -26,15 +25,10 @@ from dmlab.qw import (
 from dmlab.graph import canonical_certificate
 
 
-def all_profiles(max_m, max_parts=None):
+def all_profiles(max_m):
     """Every composition of 3..max_m into parts >= 2."""
     for m in range(3, max_m + 1):
-        for r in range(1, m // 2 + 1):
-            if max_parts and r > max_parts:
-                continue
-            for parts in itertools.product(range(2, m + 1), repeat=r):
-                if sum(parts) == m:
-                    yield parts
+        yield from compositions(m)
 
 
 profiles_st = (
@@ -102,7 +96,7 @@ class TestProfileConversion:
         assert sequence_to_profile(profile_to_sequence(parts)) == parts
 
     def test_roundtrip_exhaustive_small(self):
-        for parts in all_profiles(12, max_parts=5):
+        for parts in all_profiles(12):
             assert sequence_to_profile(profile_to_sequence(parts)) == parts
 
 

@@ -7,6 +7,7 @@ from conftest import QUARTIC_10, compositions, random_graph
 from dmlab.errors import DmlabError, NotEvenRegularError
 from dmlab.graph import Graph, parse_graph6
 from dmlab.labeling import CenteredLabeling, verify, wreath_labeling
+from dmlab import spectral
 from dmlab.qw import build_qw, build_wreath, profile_to_sequence
 from dmlab.spectral import (
     adjacency_matrix,
@@ -126,14 +127,7 @@ def rank_mod_prime(g):
 
 def qw_profiles(max_m):
     """Every segment profile (parts >= 2) with 3 <= m <= max_m."""
-    def parts_of(m):
-        if m == 0:
-            yield ()
-        for a in range(2, m + 1):
-            for rest in parts_of(m - a):
-                yield (a, *rest)
-
-    return [p for m in range(3, max_m + 1) for p in parts_of(m)]
+    return [p for m in range(3, max_m + 1) for p in compositions(m)]
 
 
 class TestKernelDimension:
@@ -190,9 +184,30 @@ def reference_basis(rows):
     return tuple(vectors), tuple(pivots)
 
 
+def random_int_rows():
+    """300 seeded int matrices of entries -3..3, the last row a combination
+    of the first two."""
+    rng = random.Random(47)
+    for _ in range(300):
+        rows, cols = rng.randint(2, 7), rng.randint(1, 7)
+        mat = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+        a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+        mat[-1] = [a * x + b * y for x, y in zip(mat[0], mat[1])]
+        yield mat
+
+
+# int matrices where the first nonzero entry of a pivot column is 2 while a
+# later row holds 1 there (column 0 of the first, column 1 of the second)
+NON_UNIT_FIRST = [
+    ((2, 1, 1), (1, 0, 1), (1, 1, 0)),
+    ((0, 2, 1, 1), (1, 0, 1, 0), (0, 1, 1, 1), (1, 1, 0, 2), (1, 2, 1, 2)),
+]
+
+
 class TestAgainstDenseElimination:
-    """The sparse row updates give the dense elimination's basis entry for
-    entry, so the search keeps its free coordinates and printed labelings."""
+    """The sparse row updates on unit pivots give the basis of the dense
+    elimination on first nonzero pivots entry for entry, so the search keeps
+    its free coordinates and printed labelings."""
 
     def check(self, rows):
         basis = nullspace_basis(rows)
@@ -230,16 +245,32 @@ class TestAgainstDenseElimination:
 
     def test_random_int_rows(self):
         # pivots of +-2 and +-3 make some divisions inexact and others exact
-        rng = random.Random(47)
         inexact = 0
-        for _ in range(300):
-            rows, cols = rng.randint(2, 7), rng.randint(1, 7)
-            mat = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
-            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
-            mat[-1] = [a * x + b * y for x, y in zip(mat[0], mat[1])]
+        for mat in random_int_rows():
             vectors = self.check(mat).vectors
             inexact += any(x.denominator > 1 for v in vectors for x in v)
         assert inexact >= 100  # 134 of the 300 bases have a non-integer entry
+
+    def test_unit_pivot_below_a_non_unit_entry(self):
+        for rows in NON_UNIT_FIRST + [
+            ((Fraction(1, 2), 1, 0, 1), (0, 2, 1, 0), (1, 1, 1, 1)),
+            ((1, 0, 0, 1, 0), (0, Fraction(-2, 3), 1, 0, 1), (0, 3, 1, 1, 0), (0, -1, 2, 0, 1)),
+        ]:
+            self.check(rows)
+
+    def test_random_int_rows_with_a_unit_below(self):
+        # column 0's first entry is +-2 or +-3 and a later row holds +-1 there
+        rng = random.Random(59)
+        for _ in range(300):
+            rows, cols = rng.randint(2, 7), rng.randint(1, 7)
+            mat = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+            mat[0] = [rng.choice((0, -3, -2, 2, 3)) for _ in range(cols)]
+            mat[0][0] = rng.choice((-3, -2, 2, 3))
+            mat[rng.randrange(1, rows)][0] = rng.choice((-1, 1))
+            if rows > 2:  # a dependent row, so that the rank drops often
+                a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+                mat[-1] = [a * x + b * y for x, y in zip(mat[0], mat[1])]
+            self.check(mat)
 
     def test_mixed_rows(self):
         # ints, bools, integral Fractions (stored as ints) and other Fractions
@@ -264,6 +295,34 @@ class TestAgainstDenseElimination:
             before = [list(row) for row in rows]
             nullspace_basis(rows)
             assert rows == before
+
+
+class TestIntArithmetic:
+    """The elimination pivots on a unit where the column has one and keeps
+    integral entries as ints, so an integer matrix stays on ints as long as
+    every division is exact."""
+
+    def test_unit_pivot_makes_no_fraction(self, monkeypatch):
+        # pivoting on the first nonzero entry, 2, would divide inexactly
+        def no_fraction(*args):
+            raise AssertionError(f"Fraction{args} made")
+
+        for rows in NON_UNIT_FIRST:
+            pivots = reference_basis(rows)[1]
+            monkeypatch.setattr(spectral, "Fraction", no_fraction)
+            mat = [list(row) for row in rows]
+            assert spectral._rref(mat, len(mat[0])) == list(pivots)
+            monkeypatch.undo()
+            assert all(type(x) is int for row in mat for x in row)
+
+    def test_integral_entries_are_ints(self):
+        matrices = [adjacency_matrix(parse_graph6(s)) for s in QUARTIC_10]
+        matrices += [adjacency_matrix(build_qw(profile_to_sequence(p))) for p in qw_profiles(10)]
+        matrices += list(random_int_rows())
+        for rows in matrices:
+            mat = [list(row) for row in rows]
+            spectral._rref(mat, len(mat[0]))
+            assert all(type(x) is int for row in mat for x in row if x.denominator == 1), rows
 
 
 class TestNullspaceInput:
