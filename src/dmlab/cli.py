@@ -5,8 +5,9 @@ as graph6 lines, labelings as JSON, tables as TSV.  Exit codes: 0 success,
 1 negative mathematical verdict (NotDistanceMagic, a failed verification,
 NotFound), 2 usage or input error.  `filter` reports RuledOut in its TSV
 rows and exits 0; it checks every line before it prints any row, and a
-malformed or irregular line makes it print no rows and exit 2, naming the
-line's 1-based number.
+malformed or irregular line, or one of odd valency, makes it print no rows
+and exit 2, naming the line's 1-based number.  `census` with an odd valency
+prints nothing and exits 2.
 """
 
 from __future__ import annotations

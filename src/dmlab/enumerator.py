@@ -8,16 +8,19 @@ rejection (at each row v <= r + 1, a partial graph isomorphic, with vertex 0
 fixed, to one already walked at row v is dropped), one prune (at rows r and
 r + 1, a partial graph in which some vertex has more triangles than vertex 0
 is dropped first) and one twin rule (row v takes twins, touched vertices with
-equal neighbour sets, in index order).  Kept leaves are told apart by a seeded
-certificate, whose search starts from the cells of equal triangle count; it
-is equal exactly when the graphs are isomorphic (graph.py says why its
-pruning stays sound), so the first leaf of each class is found as with the
-canonical certificate, which then runs once per class to yield the graph it
-encodes.  The counts match OEIS through order 13, the largest order accepted.
+equal neighbour sets, in index order).  The counts match OEIS through order
+13, the largest order accepted.
+
+Kept leaves are told apart by a key: graph.py's certificate search started
+from the cells of equal vertex invariant, in ascending order, which the pass
+that checks vertex 0 returns.  The cells are an isomorphism invariant, so
+every automorphism maps each onto itself (the search's twin and automorphism
+pruning need this) and keys are equal exactly when the graphs are isomorphic.
+The first leaf of each class is thus found as with the canonical certificate,
+which runs once per class to yield the graph it encodes.
 
 Nothing is lost.  Take any graph of the class and call a vertex of largest
-invariant (triangles at v, then the descending common-neighbour counts of v
-with the vertices at distance 2; unchanged by relabeling) 0, its neighbours
+invariant (_vertex_invariant, unchanged by relabeling) 0, its neighbours
 1..r in any order.  Number the remaining vertices in the order in which rows
 1, 2, ... first reach them, a vertex that no row reaches numbering itself
 when its own row comes.  The quotients generate this labeled copy and keep
@@ -64,8 +67,7 @@ from typing import Iterator, List, Sequence
 from .errors import EnumerationError, InvariantError
 from .graph import (
     Graph,
-    _seeded_certificate,
-    _triangles,
+    _least_key,
     canonical_certificate,
     is_connected,
     is_regular,
@@ -101,16 +103,17 @@ def enumerate_regular(task: EnumerationTask) -> Iterator[Graph]:
         adj[0].add(v)
         adj[v].add(0)
 
-    seen = set()  # seeded certificates of the classes yielded
+    seen = set()  # leaf keys of the classes yielded
     walked = set()  # (row, certificate rooted at 0) of the partial graphs walked
 
     def leaf():
-        if not _root_is_largest(adj):
+        cells = _root_cells(adj)
+        if cells is None:
             return
         g = Graph._from_neighbors(tuple(tuple(sorted(a)) for a in adj))
         if task.connected and not is_connected(g):
             return
-        key = _seeded_certificate(g)
+        key = _least_key(g, cells, [])
         if key not in seen:
             seen.add(key)
             yield parse_graph6(canonical_certificate(g).decode("ascii"))
@@ -124,8 +127,9 @@ def enumerate_regular(task: EnumerationTask) -> Iterator[Graph]:
             return
         if v <= r + 1:
             if v >= r:
-                top = _triangles(adj, 0)  # final: rows 1..r-1 fixed every edge among 1..r
-                if any(_triangles(adj, u) > top for u in range(1, fresh)):
+                # triangles, final for 0: rows 1..r-1 fixed every edge among 1..r
+                top = _vertex_invariant(adj, 0)[0]
+                if any(_vertex_invariant(adj, u)[0] > top for u in range(1, fresh)):
                     return  # no count falls as edges are added, so no leaf below is kept
             # only vertices below fresh have edges, so adj[:fresh] is a graph
             partial = Graph._from_neighbors(tuple(tuple(sorted(a)) for a in adj[:fresh]))
@@ -173,13 +177,21 @@ def _vertex_invariant(adj: List[set], v: int):
                 twice_triangles += 1
             elif w != v:
                 common[w] = common.get(w, 0) + 1
-    return twice_triangles // 2, sorted(common.values(), reverse=True)
+    return twice_triangles // 2, tuple(sorted(common.values(), reverse=True))
 
 
-def _root_is_largest(adj: List[set]) -> bool:
-    """Vertex 0 has the largest invariant."""
+def _root_cells(adj: List[set]):
+    """None if some vertex has a larger invariant than vertex 0 (the leaf
+    quotient), else the vertices in cells of equal invariant, in ascending
+    order of invariant."""
     top = _vertex_invariant(adj, 0)
-    return all(_vertex_invariant(adj, v) <= top for v in range(1, len(adj)))
+    cells = {top: [0]}
+    for v in range(1, len(adj)):
+        inv = _vertex_invariant(adj, v)
+        if inv > top:
+            return None
+        cells.setdefault(inv, []).append(v)
+    return [cells[inv] for inv in sorted(cells)]
 
 
 @dataclass(frozen=True)

@@ -195,10 +195,7 @@ def _pack_graph6(n: int, bits) -> str:
 # a graph is the graph6 line of its canonically relabeled copy, as bytes, so
 # equal certificates <=> isomorphic graphs.  The search skips only subtrees a
 # twin swap or an automorphism found at two leaves with equal keys maps onto
-# visited ones, so this holds at every order.  A private seeded form starts
-# the search from the cells of equal triangle count instead of one cell; its
-# bytes differ, but it is a certificate too, cheaper on regular graphs, and
-# the enumerator dedups its leaves by it.
+# visited ones, so this holds at every order.
 # ---------------------------------------------------------------------------
 
 def _refine(neighbors, partition):
@@ -262,36 +259,14 @@ def canonical_certificate(g: Graph, root: int | None = None) -> bytes:
     return _least_key(g, [[root], rest] if rest else [[root]], [root])
 
 
-def _seeded_certificate(g: Graph) -> bytes:
-    """Isomorphism-invariant certificate whose search starts from the cells of
-    equal triangle count, in ascending order of that count.
-
-    Equal certificates still mean isomorphic graphs, since each is a relabeled
-    copy of its graph, and isomorphic graphs still get equal ones, since an
-    isomorphism maps the cells of one onto the cells of the other.  The bytes
-    differ from canonical_certificate's.  Twin and automorphism pruning stay
-    sound: every automorphism preserves triangle counts, so the seed
-    partition, like the single cell, is mapped onto itself by all of them.
-    On a regular graph, where the first refinement of a single cell splits
-    nothing, the seed often does.
-    """
-    adj_sets = [set(a) for a in g.neighbors]
-    cells = {}
-    for v in range(g.n):
-        cells.setdefault(_triangles(adj_sets, v), []).append(v)
-    return _least_key(g, [cells[t] for t in sorted(cells)], [])
-
-
-def _triangles(adj, v) -> int:
-    """The number of edges among v's neighbours, from adjacency sets."""
-    near = adj[v]
-    return sum([len(near & adj[u]) for u in near]) // 2
-
-
 def _least_key(g: Graph, start, path) -> bytes:
     """graph6 line of the least adjacency key over the search tree that starts
     from the ordered partition start; path lists the vertices individualised
-    on the way to the current node, so it starts with the root if any."""
+    on the way to the current node.  Twin and automorphism pruning need every
+    automorphism fixing path to map each cell of start onto itself, so a
+    root's singleton cell is listed in path.  Equal keys mean isomorphic
+    graphs; a start built by an isomorphism invariant gives isomorphic graphs
+    equal keys."""
     if g.n > CERTIFICATE_MAX_ORDER:
         raise OrderTooLargeError(
             f"canonical certificate is limited to order {CERTIFICATE_MAX_ORDER}, got {g.n}; "

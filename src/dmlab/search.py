@@ -13,9 +13,13 @@ pivot once the last free coordinate in its sum is labeled; that reaches
 every labeling.  A complete neighborhood then sums to 0 by construction.
 
 Rules, fixed and always applied ((d) in count-all mode only):
-  (a) kernel derivation - a derived label must be an unused centered label
-      (so an odd integer); a pivot with no free term, such as any coordinate
-      of a trivial kernel, is 0 on the whole kernel: NOT_FOUND at once;
+  (a) kernel derivation - a derived label, floor(l'(p)) for the kernel
+      vector l' with the free coordinates labeled so far, must be an unused
+      label.  It equals l'(p) at every leaf: there the n labels are the whole
+      pool, which sums to 0 as l' does (A is symmetric with A*1 = r*1, r > 0),
+      and each floor is at most its value, so none is below it.  A pivot with
+      no free term, such as any coordinate of a trivial kernel, is 0 on the
+      whole kernel: NOT_FOUND at once;
   (b) interval feasibility - on the branched vertex, the derived vertices
       and their neighbors, the partial neighbor sum plus the extreme
       completions from the remaining label pool must straddle 0;
@@ -110,7 +114,7 @@ def find_labeling(g: Graph, opts: Optional[SearchOptions] = None) -> SearchOutco
     pivots = set(basis.pivot_columns)
     free = [c for c in range(n) if c not in pivots]
     # derive[k] holds (p, scale, terms) for each pivot p whose last free term is
-    # free[k]: l(p) = sum(c * l(w) for w, c in terms) / scale
+    # free[k]: l(p) = sum(c * l(w) for w, c in terms) // scale, by rule (a)
     derive: list = [[] for _ in free]
     for p in basis.pivot_columns:
         coeffs = [vec[p] for vec in basis.vectors]
@@ -154,13 +158,13 @@ def find_labeling(g: Graph, opts: Optional[SearchOptions] = None) -> SearchOutco
     def settle(k: int, placed: list) -> bool:
         # derive the pivots that free[k] completes, then apply the interval rule
         for p, scale, terms in derive[k]:
-            s = sum(c * assigned[w] for w, c in terms)
-            if s % scale or s // scale not in in_pool:
+            x = sum(c * assigned[w] for w, c in terms) // scale
+            if x not in in_pool:
                 stats["prune_kernel"] += 1
                 return False
-            if twins[p] and not ordered(p, s // scale):
+            if twins[p] and not ordered(p, x):
                 return False
-            put(p, s // scale, placed)
+            put(p, x, placed)
         for u in {u for v in placed for u in (v, *nbrs[v])}:
             known = [assigned[w] for w in nbrs[u] if assigned[w] is not None]
             k_open = r - len(known)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import networkx as nx
 import pytest
@@ -55,3 +56,26 @@ QUARTIC_10 = [
     'I@L}EFBm?', 'I@O{uVc{?', 'I@O{ufcy?', 'I@O{vFSy?', 'I@P{tRPw_', 'I@P{tRQwO',
     'I@P{tbIwO', 'I@P|dfGqG', 'I@TctNK{?', 'I@TctNSy?', 'I@T|EEqqO',
 ]
+
+
+def recombine(vectors, rng, steps=6):
+    """Random invertible recombination via elementary row operations."""
+    vs = [list(v) for v in vectors]
+    k = len(vs)
+    if not k:
+        return []
+    for _ in range(steps):
+        op = rng.randrange(3)
+        i = rng.randrange(k)
+        if op == 0 and k > 1:
+            j = rng.randrange(k)
+            if i != j:
+                c = Fraction(rng.randint(-3, 3))
+                vs[i] = [a + c * b for a, b in zip(vs[i], vs[j])]
+        elif op == 1:
+            c = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 3]))
+            vs[i] = [c * a for a in vs[i]]
+        else:
+            j = rng.randrange(k)
+            vs[i], vs[j] = vs[j], vs[i]
+    return [tuple(v) for v in vs]

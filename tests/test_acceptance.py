@@ -9,9 +9,8 @@ verification) or frozen regression fixtures noted inline.
 import itertools
 import json
 import random
-from fractions import Fraction
 
-from conftest import random_graph
+from conftest import random_graph, recombine
 from dmlab.constructive import construct_labeling, construct_tilde_labeling, plan
 from dmlab.enumerator import EnumerationTask, census_pipeline, enumerate_regular
 from dmlab.graph import canonical_certificate, is_connected, is_regular, parse_graph6, write_graph6
@@ -169,27 +168,11 @@ def test_acceptance_7_filter_soundness_and_basis_invariance():
             base_pin = pinned_equal_pair(basis.vectors, g.n) is None
             vectors = basis.vectors
             for _ in range(50):
-                vectors = _recombine(vectors, rng)
+                vectors = recombine(vectors, rng)
                 if vectors:
                     assert (pinned_equal_pair(vectors, g.n) is None) == base_pin
 
     _report("acceptance 7 (filter soundness + basis invariance)", body)
-
-
-def _recombine(vectors, rng):
-    vs = [list(v) for v in vectors]
-    k = len(vs)
-    if k == 0:
-        return []
-    for _ in range(4):
-        i, j = rng.randrange(k), rng.randrange(k)
-        if i == j:
-            c = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2]))
-            vs[i] = [c * a for a in vs[i]]
-        else:
-            c = Fraction(rng.randint(-3, 3))
-            vs[i] = [a + c * b for a, b in zip(vs[i], vs[j])]
-    return [tuple(v) for v in vs]
 
 
 def test_acceptance_8_serialization_roundtrips():

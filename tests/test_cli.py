@@ -326,6 +326,16 @@ class TestFilter:
         assert out == ""
         assert "line 3:" in err
 
+    def test_odd_valency_line_prints_no_rows(self, capsys, tmp_path):
+        # the cubic graphs from `enumerate --order 8 --valency 3 --connected`
+        assert main(["enumerate", "--order", "8", "--valency", "3", "--connected"]) == EXIT_OK
+        f = tmp_path / "in.g6"
+        f.write_text(capsys.readouterr().out)
+        code, out, err = run(capsys, "filter", "--input", str(f))
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err.startswith("dmlab: line 1: valency 3 is odd")
+
     def test_all_ruled_out_still_exits_0(self, capsys, tmp_path):
         # RuledOut is a row verdict, not a negative exit code
         f = tmp_path / "in.g6"
@@ -382,6 +392,13 @@ class TestCensus:
         assert lines[0] == "order\ttotal\tcandidates\tdm_confirmed"
         assert lines[1] == "6\t1\t1\t1"
         assert lines[2] == "8\t6\t1\t1"
+
+    def test_odd_valency_prints_nothing(self, capsys):
+        # the first cubic graph ends the census before its table is printed
+        code, out, err = run(capsys, "census", "--orders", "8", "--valency", "3")
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err.startswith("dmlab: valency 3 is odd")
 
 
 class TestExpand:

@@ -16,7 +16,7 @@ from dmlab.enumerator import (
 from dmlab.errors import EnumerationError
 from dmlab.graph import (
     Graph,
-    _seeded_certificate,
+    _least_key,
     canonical_certificate,
     is_connected,
     is_regular,
@@ -54,21 +54,21 @@ UNSORTED_ORDER_SHA256 = {
 
 
 def _count_certificates(monkeypatch):
-    """Log each certificate the enumerator asks for: "leaf" for the seeded key
-    of a kept leaf, "class" for the canonical form of a new class and
-    "rooted" for a partial graph at the rows of vertex 0's neighbours."""
+    """Log each certificate the enumerator asks for: "leaf" for the key of a
+    kept leaf, "class" for the canonical form of a new class and "rooted" for
+    a partial graph at the rows of vertex 0's neighbours."""
     calls = []
 
     def canonical(g, root=None):
         calls.append("class" if root is None else "rooted")
         return canonical_certificate(g, root=root)
 
-    def seeded(g):
+    def leaf_key(g, start, path):
         calls.append("leaf")
-        return _seeded_certificate(g)
+        return _least_key(g, start, path)
 
     monkeypatch.setattr(enumerator, "canonical_certificate", canonical)
-    monkeypatch.setattr(enumerator, "_seeded_certificate", seeded)
+    monkeypatch.setattr(enumerator, "_least_key", leaf_key)
     return calls
 
 
@@ -202,13 +202,13 @@ class TestOutputProperties:
         # quotient, against 664 and 350 without the prune
         calls = _count_certificates(monkeypatch)
         leaves = []
-        root_is_largest = enumerator._root_is_largest
+        root_cells = enumerator._root_cells
 
         def counted(adj):
             leaves.append(1)
-            return root_is_largest(adj)
+            return root_cells(adj)
 
-        monkeypatch.setattr(enumerator, "_root_is_largest", counted)
+        monkeypatch.setattr(enumerator, "_root_cells", counted)
         assert sum(1 for _ in enumerate_regular(EnumerationTask(10))) == 59
         assert calls.count("rooted") <= 450
         assert len(leaves) <= 260

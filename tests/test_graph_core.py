@@ -10,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import QUARTIC_10, random_graph, relabel, to_nx
+from dmlab.enumerator import _root_cells, _vertex_invariant
 from dmlab.errors import Graph6Error, OrderTooLargeError
 from dmlab.graph import (
     Graph,
-    _seeded_certificate,
+    _least_key,
     canonical_certificate,
     is_connected,
     is_regular,
@@ -441,46 +442,55 @@ class TestCertificate:
         assert canonical_certificate(build_wreath(3)) == canonical_certificate(OCTAHEDRON)
 
 
+def _leaf_key(g):
+    """The enumerator's leaf key of g, with a vertex of largest invariant moved
+    to 0 so that _root_cells gives the cells of equal invariant."""
+    adj = [set(a) for a in g.neighbors]
+    top = max(range(g.n), key=lambda v: _vertex_invariant(adj, v))
+    perm = list(range(g.n))
+    perm[0], perm[top] = top, 0
+    h = g.relabel(perm)
+    return _least_key(h, _root_cells([set(a) for a in h.neighbors]), [])
+
+
 class TestSeededCertificate:
-    # the enumerator's dedup key: equal exactly when the graphs are isomorphic,
-    # although its search starts from the cells of equal triangle count
+    # the enumerator's leaf key: equal exactly when the graphs are isomorphic,
+    # although its search starts from the cells of equal vertex invariant
 
     def test_symmetric_matches_networkx_isomorphism(self):
         graphs = _symmetric_graphs()
-        keys = [_seeded_certificate(g) for g in graphs]
+        keys = [_leaf_key(g) for g in graphs]
         for i, g in enumerate(graphs):
             assert nx.is_isomorphic(to_nx(parse_graph6(keys[i].decode("ascii"))), to_nx(g))
             for seed in range(3 * i, 3 * i + 3):
-                assert _seeded_certificate(relabel(g, seed)) == keys[i]
+                assert _leaf_key(relabel(g, seed)) == keys[i]
         for a, b in itertools.combinations(range(len(graphs)), 2):
             same = keys[a] == keys[b]
             assert same == nx.is_isomorphic(to_nx(graphs[a]), to_nx(graphs[b]))
 
     def test_unequal_triangle_counts(self):
         # the 59 connected quartic graphs of order 10, pairwise non-isomorphic;
-        # most have vertices of different triangle counts, so the seed splits
+        # most have vertices of different invariants, so the seed splits
         graphs = [parse_graph6(line) for line in QUARTIC_10]
-        keys = [_seeded_certificate(g) for g in graphs]
+        keys = [_leaf_key(g) for g in graphs]
         assert len(set(keys)) == len(graphs)
         for i, g in enumerate(graphs):
-            assert _seeded_certificate(relabel(g, i)) == keys[i]
+            assert _leaf_key(relabel(g, i)) == keys[i]
 
     def test_shrikhande_is_not_the_rook_graph(self):
         # both are srg(16, 6, 2, 2), so every vertex of either has 6 triangles
-        # and the seed is one cell; they are not isomorphic
+        # and 9 vertices at distance 2 with 2 common neighbours each: the seed
+        # is one cell; they are not isomorphic
         shrikhande, rook = _shrikhande(), _rook(4)
         assert not nx.is_isomorphic(to_nx(shrikhande), to_nx(rook))
         for g in (shrikhande, rook):
             assert is_regular(g, 6)
-            assert all(
-                sum(1 for u, w in itertools.combinations(g.neighbors[v], 2) if g.has_edge(u, w)) == 6
-                for v in range(g.n)
-            )
-        key = _seeded_certificate(shrikhande)
-        assert key != _seeded_certificate(rook)
+            assert _root_cells([set(a) for a in g.neighbors]) == [list(range(16))]
+        key = _leaf_key(shrikhande)
+        assert key != _leaf_key(rook)
         for seed in range(3):
-            assert _seeded_certificate(relabel(shrikhande, seed)) == key
-            assert _seeded_certificate(relabel(rook, seed)) == _seeded_certificate(rook)
+            assert _leaf_key(relabel(shrikhande, seed)) == key
+            assert _leaf_key(relabel(rook, seed)) == _leaf_key(rook)
 
 
 def _rooted_form(g, root):

@@ -169,6 +169,18 @@ class TestCountMode:
         assert outcome.verdict == FOUND
         assert outcome.stats == dict(zip(("nodes", "prune_interval", "prune_kernel"), stats))
 
+    @pytest.mark.parametrize("mode", [FIND_ONE, COUNT_ALL])
+    def test_non_integral_basis_pinned(self, mode):
+        # a connected quartic graph of order 12 whose kernel basis has non-integer
+        # entries, so some derived pivot sums are not multiples of their scale
+        # and rule (a) takes their floors
+        g = parse_graph6("K?Chqj@wKw[O")
+        basis = spectral.nullspace_basis(spectral.adjacency_matrix(g))
+        assert any(x.denominator != 1 for vec in basis.vectors for x in vec)
+        outcome = find_labeling(g, SearchOptions(mode=mode))
+        assert outcome.verdict == NOT_FOUND
+        assert outcome.stats == {"nodes": 1, "prune_interval": 0, "prune_kernel": 6}
+
     def test_count_zero_on_non_magic(self):
         outcome = find_labeling(
             build_qw(profile_to_sequence((2, 2))), SearchOptions(mode=COUNT_ALL)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import QUARTIC_10, compositions, random_graph
+from conftest import QUARTIC_10, compositions, random_graph, recombine
 from dmlab.errors import DmlabError, NotEvenRegularError
 from dmlab.graph import Graph, parse_graph6
 from dmlab.labeling import CenteredLabeling, verify, wreath_labeling
@@ -22,27 +22,6 @@ K5 = Graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
 
 def mat_vec(m, v):
     return [sum(a * b for a, b in zip(row, v)) for row in m]
-
-
-def recombine(vectors, rng, steps=6):
-    """Random invertible recombination via elementary row operations."""
-    vs = [list(v) for v in vectors]
-    k = len(vs)
-    for _ in range(steps):
-        op = rng.randrange(3)
-        i = rng.randrange(k)
-        if op == 0 and k > 1:
-            j = rng.randrange(k)
-            if i != j:
-                c = Fraction(rng.randint(-3, 3))
-                vs[i] = [a + c * b for a, b in zip(vs[i], vs[j])]
-        elif op == 1:
-            c = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 3]))
-            vs[i] = [c * a for a in vs[i]]
-        else:
-            j = rng.randrange(k)
-            vs[i], vs[j] = vs[j], vs[i]
-    return [tuple(v) for v in vs]
 
 
 class TestAdjacency:
