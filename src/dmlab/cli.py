@@ -1,7 +1,8 @@
 """dmlab command line interface.
 
 Subcommands are thin shells over single library operations.  Graphs travel
-as graph6 lines, labelings as JSON, tables as TSV.  Exit codes: 0 success,
+as graph6 lines, labelings as JSON, tables as TSV.  One reader makes any
+labeling document centered and keeps its scheme.  Exit codes: 0 success,
 1 negative mathematical verdict (NotDistanceMagic, a failed verification,
 NotFound), 2 usage or input error.  `filter` reports RuledOut in its TSV
 rows and exits 0; it checks every line before it prints any row, and a
@@ -47,11 +48,10 @@ def _read_graph(path: str) -> Graph:
     return parse_graph6(lines[0])
 
 
-def _read_centered(path: str) -> labeling.CenteredLabeling:
+def _read_labeling(path: str):
+    """The labeling document at path, as a centered labeling, and its scheme."""
     lab = labeling.labeling_from_json(_read_text(path))
-    if isinstance(lab, labeling.StandardLabeling):
-        lab = labeling.from_standard(lab)
-    return lab
+    return (labeling.from_standard(lab) if lab.scheme == "standard" else lab), lab.scheme
 
 
 def _sequence_from_args(args) -> qw.QWSequence:
@@ -101,11 +101,10 @@ def _cmd_label_construct(args) -> int:
 
 def _cmd_label_verify(args) -> int:
     g = _read_graph(args.graph)
-    lab = labeling.labeling_from_json(_read_text(args.labels))
-    standard = isinstance(lab, labeling.StandardLabeling)
-    report = labeling.verify(g, labeling.from_standard(lab) if standard else lab)
+    lab, scheme = _read_labeling(args.labels)
+    report = labeling.verify(g, lab)
     weights = report.weights
-    if standard:
+    if scheme == "standard":
         if len({g.degree(v) for v in range(g.n)}) != 1:
             raise DmlabError("standard-scheme verification target needs a regular graph")
         # standard weight = (centered weight + deg(v)(n+1)) / 2; the target r(n+1)/2
@@ -123,14 +122,9 @@ def _cmd_label_verify(args) -> int:
 
 
 def _cmd_label_convert(args) -> int:
-    lab = labeling.labeling_from_json(_read_text(args.labels))
-    if args.to == "standard":
-        if isinstance(lab, labeling.CenteredLabeling):
-            lab = labeling.to_standard(lab)
-    else:
-        if isinstance(lab, labeling.StandardLabeling):
-            lab = labeling.from_standard(lab)
-    print(labeling.labeling_to_json(lab))
+    # exact for a standard document too: its x reads as c = 2x - 1 - n, and c + n is odd
+    lab, _ = _read_labeling(args.labels)
+    print(labeling.labeling_to_json(labeling.to_standard(lab) if args.to == "standard" else lab))
     return EXIT_OK
 
 
@@ -191,7 +185,7 @@ def _cmd_census(args) -> int:
 
 def _cmd_expand(args) -> int:
     g = _read_graph(args.graph)
-    lab = _read_centered(args.labels)
+    lab, _ = _read_labeling(args.labels)
     if args.cycle:
         try:
             verts = tuple(int(tok) for tok in args.cycle.split(","))
@@ -209,7 +203,7 @@ def _cmd_expand(args) -> int:
 
 def _cmd_dot(args) -> int:
     g = _read_graph(args.graph)
-    lab = _read_centered(args.labels) if args.labels else None
+    lab = _read_labeling(args.labels)[0] if args.labels else None
     sys.stdout.write(dot.export_dot(g, lab, qw_rows=args.qw_rows))
     return EXIT_OK
 

@@ -113,7 +113,7 @@ def enumerate_regular(task: EnumerationTask) -> Iterator[Graph]:
         g = Graph._from_neighbors(tuple(tuple(sorted(a)) for a in adj))
         if task.connected and not is_connected(g):
             return
-        key = _least_key(g, cells, [])
+        key = _least_key(g, cells)
         if key not in seen:
             seen.add(key)
             yield parse_graph6(canonical_certificate(g).decode("ascii"))

@@ -252,19 +252,19 @@ def canonical_certificate(g: Graph, root: int | None = None) -> bytes:
     g -> h maps a to b.
     """
     if root is None:
-        return _least_key(g, [list(range(g.n))], [])  # the first refinement splits it by degree
+        return _least_key(g, [list(range(g.n))])  # the first refinement splits it by degree
     if not 0 <= root < g.n:
         raise ValueError(f"root {root} out of range for order {g.n}")
     rest = [v for v in range(g.n) if v != root]
-    return _least_key(g, [[root], rest] if rest else [[root]], [root])
+    return _least_key(g, [[root], rest] if rest else [[root]])
 
 
-def _least_key(g: Graph, start, path) -> bytes:
+def _least_key(g: Graph, start) -> bytes:
     """graph6 line of the least adjacency key over the search tree that starts
-    from the ordered partition start; path lists the vertices individualised
-    on the way to the current node.  Twin and automorphism pruning need every
-    automorphism fixing path to map each cell of start onto itself, so a
-    root's singleton cell is listed in path.  Equal keys mean isomorphic
+    from the ordered partition start.  Pruning holds for any start, since every
+    automorphism the search uses maps each cell of start onto itself: a twin
+    swap stays inside one cell, and a map between two leaf orders, both of
+    which refine start, keeps each position.  Equal keys mean isomorphic
     graphs; a start built by an isomorphism invariant gives isomorphic graphs
     equal keys."""
     if g.n > CERTIFICATE_MAX_ORDER:
@@ -279,6 +279,7 @@ def _least_key(g: Graph, start, path) -> bytes:
 
     best = best_order = best_path = None  # the least key, and its leaf
     autos = []  # automorphisms found, as lists: v -> autos[i][v]
+    path = []  # the vertices individualised on the way to the current node
 
     def descend(partition):
         """Walk the subtree of the node that path leads to; return the length of

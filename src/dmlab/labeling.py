@@ -2,7 +2,8 @@
 
 The centered scheme (labels {1-n, 3-n, ..., n-1}, target weight 0) is the
 internal canonical representation; the standard 1..n scheme exists at I/O
-boundaries only.  Conversion: standard = (centered + n + 1) / 2.
+boundaries only.  Conversion: standard = (centered + n + 1) / 2.  Each class
+names its scheme, and SCHEMES, read by both JSON functions, maps it back.
 """
 
 from __future__ import annotations
@@ -27,31 +28,7 @@ def centered_label_set(n: int) -> range:
 
 
 @dataclass(frozen=True)
-class CenteredLabeling:
-    """Vertex-indexed labels intended to be a bijection onto {1-n, 3-n, ..., n-1}.
-
-    The bijection is not enforced at construction so that broken labelings can
-    be fed to verify() and reported.  An odd order is representable (the labels
-    are then even), so a standard labeling of any order converts and verifies.
-    """
-
-    order: int
-    labels: Tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.labels) != self.order:
-            raise OrderMismatchError(
-                f"{len(self.labels)} labels for order {self.order}"
-            )
-
-    def is_bijection(self) -> bool:
-        return sorted(self.labels) == list(range(1 - self.order, self.order, 2))
-
-
-@dataclass(frozen=True)
-class StandardLabeling:
-    """Vertex-indexed permutation of {1, ..., order}."""
-
+class _Labeling:
     order: int
     labels: Tuple[int, ...]
 
@@ -59,8 +36,27 @@ class StandardLabeling:
         if len(self.labels) != self.order:
             raise OrderMismatchError(f"{len(self.labels)} labels for order {self.order}")
 
+
+@dataclass(frozen=True)
+class CenteredLabeling(_Labeling):
+    """Vertex-indexed labels intended to be a bijection onto {1-n, 3-n, ..., n-1}.
+
+    The bijection is not enforced at construction so that broken labelings can
+    be fed to verify() and reported.  An odd order is representable (the labels
+    are then even), so a standard labeling of any order converts and verifies.
+    """
+
+    scheme = "centered"
+
     def is_bijection(self) -> bool:
-        return sorted(self.labels) == list(range(1, self.order + 1))
+        return sorted(self.labels) == list(range(1 - self.order, self.order, 2))
+
+
+@dataclass(frozen=True)
+class StandardLabeling(_Labeling):
+    """Vertex-indexed permutation of {1, ..., order}."""
+
+    scheme = "standard"
 
 
 @dataclass(frozen=True)
@@ -149,15 +145,14 @@ def check_block_recurrence(seq: QWSequence, bl: Tuple[int, ...]) -> bool:
 # JSON interchange: {"schema": "dmlab/1", "order": n, "scheme": ..., "labels": [...]}
 # ---------------------------------------------------------------------------
 
+SCHEMES = {cls.scheme: cls for cls in (CenteredLabeling, StandardLabeling)}
+
+
 def labeling_to_json(lab) -> str:
-    if isinstance(lab, CenteredLabeling):
-        scheme = "centered"
-    elif isinstance(lab, StandardLabeling):
-        scheme = "standard"
-    else:
+    if not isinstance(lab, SCHEMES.get(getattr(lab, "scheme", None), ())):
         raise TypeError(f"not a labeling: {lab!r}")
     return json.dumps(
-        {"schema": SCHEMA, "order": lab.order, "scheme": scheme, "labels": list(lab.labels)}
+        {"schema": SCHEMA, "order": lab.order, "scheme": lab.scheme, "labels": list(lab.labels)}
     )
 
 
@@ -176,11 +171,10 @@ def labeling_from_json(text: str):
         raise DmlabError(f"bad labeling document: {exc}") from None
     if schema != SCHEMA:
         raise DmlabError(f"unsupported labeling schema {schema!r}, expected {SCHEMA!r}")
-    if scheme == "centered":
-        return CenteredLabeling(order, labels)
-    if scheme == "standard":
-        return StandardLabeling(order, labels)
-    raise DmlabError(f"unknown labeling scheme {scheme!r}")
+    cls = SCHEMES.get(scheme) if isinstance(scheme, str) else None  # a list would not hash
+    if cls is None:
+        raise DmlabError(f"unknown labeling scheme {scheme!r}")
+    return cls(order, labels)
 
 
 def _exact_ints(values) -> Tuple[int, ...]:

@@ -218,9 +218,10 @@ def _outcome(g: Graph, opts: SearchOptions, first, folded: int, stats) -> Search
 
 
 def decide_profile(profile: Sequence[int], opts: Optional[SearchOptions] = None) -> bool:
-    """Ground-truth decision for a segment profile via complete search."""
+    """Ground-truth decision for a segment profile via complete search; a budget
+    that runs out leaves no verdict and raises DmlabError."""
     seq = profile_to_sequence(profile)
     outcome = find_labeling(build_qw(seq), opts)
     if outcome.verdict == BUDGET_EXHAUSTED:
-        raise RuntimeError("search budget exhausted; no verdict")
+        raise DmlabError("search budget exhausted; no verdict")
     return outcome.verdict == FOUND

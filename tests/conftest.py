@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import networkx as nx
 import pytest
 
 from dmlab.graph import Graph
+from dmlab.qw import classify, profile_to_sequence
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -40,6 +42,27 @@ def compositions(m: int):
     for first in range(2, m + 1):
         for rest in compositions(m - first):
             yield (first, *rest)
+
+
+def all_profiles(max_m: int) -> list:
+    """Every QW profile with 3 <= m <= max_m, by m."""
+    return [p for m in range(3, max_m + 1) for p in compositions(m)]
+
+
+def odd_compositions(max_m: int, prefix=()):
+    """Compositions of 3..max_m into odd parts >= 3."""
+    for a in range(3, max_m - sum(prefix) + 1, 2):
+        yield prefix + (a,)
+        yield from odd_compositions(max_m, prefix + (a,))
+
+
+def dm_profiles(pool, max_parts: int, max_m: int):
+    """Distance magic profiles of 1..max_parts parts from pool with m <= max_m,
+    by number of parts."""
+    for r in range(1, max_parts + 1):
+        for parts in itertools.product(pool, repeat=r):
+            if sum(parts) <= max_m and classify(profile_to_sequence(parts)).distance_magic:
+                yield parts
 
 
 # the 59 connected quartic graphs of order 10 (OEIS A006820), as canonical

@@ -6,11 +6,10 @@ computed on the fly from an independent oracle (complete search, exhaustive
 verification) or frozen regression fixtures noted inline.
 """
 
-import itertools
 import json
 import random
 
-from conftest import random_graph, recombine
+from conftest import all_profiles, dm_profiles, random_graph, recombine
 from dmlab.constructive import construct_labeling, construct_tilde_labeling, plan
 from dmlab.enumerator import EnumerationTask, census_pipeline, enumerate_regular
 from dmlab.graph import canonical_certificate, is_connected, is_regular, parse_graph6, write_graph6
@@ -40,26 +39,11 @@ def _report(tag, body):
     print(f"{tag}: PASS")
 
 
-def compositions(max_m, min_part=2):
-    for m in range(3, max_m + 1):
-        for r in range(1, m // min_part + 1):
-            for parts in itertools.product(range(min_part, m + 1), repeat=r):
-                if sum(parts) == m:
-                    yield parts
-
-
-def dm_compositions(pool, max_parts, max_m):
-    for r in range(1, max_parts + 1):
-        for parts in itertools.product(pool, repeat=r):
-            if sum(parts) <= max_m and classify(profile_to_sequence(parts)).distance_magic:
-                yield parts
-
-
 def test_acceptance_1_classifier_matches_complete_search():
     def body():
         magic = set()
-        profiles = list(compositions(7))
-        assert len(profiles) == 19
+        profiles = all_profiles(14)
+        assert len(profiles) == 608
         for parts in profiles:
             seq = profile_to_sequence(parts)
             predicted = classify(seq).distance_magic
@@ -68,15 +52,16 @@ def test_acceptance_1_classifier_matches_complete_search():
             assert predicted == (outcome.verdict == FOUND), parts
             if predicted:
                 magic.add(parts)
-        assert magic == {(3,), (3, 3), (7,)}
+        assert len(magic) == 20
+        assert {p for p in magic if sum(p) <= 7} == {(3,), (3, 3), (7,)}
 
-    _report("acceptance 1 (classifier vs complete search, m <= 7)", body)
+    _report("acceptance 1 (classifier vs complete search, m <= 14)", body)
 
 
 def test_acceptance_2_constructive_labeling_family():
     def body():
         pool = (3, 5, 7, 9, 11, 15, 19)
-        profiles = list(dm_compositions(pool, 5, 60)) + [(11, 3, 5, 3, 7, 5, 3)]
+        profiles = list(dm_profiles(pool, 5, 60)) + [(11, 3, 5, 3, 7, 5, 3)]
         assert len(profiles) > 100
         for parts in profiles:
             seq = profile_to_sequence(parts)
@@ -156,7 +141,7 @@ def test_acceptance_7_filter_soundness_and_basis_invariance():
         corpus = []
         for n in (6, 8, 10):
             corpus.extend(enumerate_regular(EnumerationTask(n, 4, connected=True)))
-        for parts in compositions(7):
+        for parts in all_profiles(7):
             corpus.append(build_qw(profile_to_sequence(parts)))
 
         rng = random.Random(2024)

@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import os
 import random
 import subprocess
@@ -8,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import dm_profiles, odd_compositions
 from dmlab.constructive import (
     block_label_pattern,
     construct_labeling,
@@ -22,16 +22,6 @@ from dmlab.labeling import (
     verify,
 )
 from dmlab.qw import TYPE_A, TYPE_B, build_qw, classify, profile_to_sequence
-
-
-def dm_profiles(parts_pool, max_parts, max_m):
-    for r in range(1, max_parts + 1):
-        for parts in itertools.product(parts_pool, repeat=r):
-            if sum(parts) > max_m:
-                continue
-            seq = profile_to_sequence(parts)
-            if classify(seq).distance_magic:
-                yield parts
 
 
 def segment_bounds(seq):
@@ -161,13 +151,6 @@ class TestTilde:
             for lo, hi in segment_bounds(seq):
                 small = {abs(lab.labels[lo]), abs(lab.labels[m + lo + 1])}
                 assert small == {2 * lo + 1}
-
-
-def odd_compositions(max_m, prefix=()):
-    """Compositions of 3..max_m into odd parts >= 3."""
-    for a in range(3, max_m - sum(prefix) + 1, 2):
-        yield prefix + (a,)
-        yield from odd_compositions(max_m, prefix + (a,))
 
 
 class TestBytesPinned:

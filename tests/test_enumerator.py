@@ -63,9 +63,9 @@ def _count_certificates(monkeypatch):
         calls.append("class" if root is None else "rooted")
         return canonical_certificate(g, root=root)
 
-    def leaf_key(g, start, path):
+    def leaf_key(g, start):
         calls.append("leaf")
-        return _least_key(g, start, path)
+        return _least_key(g, start)
 
     monkeypatch.setattr(enumerator, "canonical_certificate", canonical)
     monkeypatch.setattr(enumerator, "_least_key", leaf_key)

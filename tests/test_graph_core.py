@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import QUARTIC_10, random_graph, relabel, to_nx
+from conftest import QUARTIC_10, all_profiles, random_graph, relabel, to_nx
 from dmlab.enumerator import _root_cells, _vertex_invariant
 from dmlab.errors import Graph6Error, OrderTooLargeError
 from dmlab.graph import (
@@ -77,14 +77,6 @@ def _partitions(n, most=None):
         yield from ((a,) + rest for rest in _partitions(n - a, a))
 
 
-def _compositions(m):
-    """Ordered tuples of parts >= 2 summing to m."""
-    if m == 0:
-        yield ()
-    for a in range(2, m + 1):
-        yield from ((a,) + rest for rest in _compositions(m - a))
-
-
 def _complete_multipartite(parts):
     part_of = [i for i, a in enumerate(parts) for _ in range(a)]
     n = len(part_of)
@@ -105,7 +97,7 @@ def _twin_rich_graphs():
             out.append(Graph(n, [(u, v) for u, v in pairs if v != u + n // 2]))
         out.extend(_complete_multipartite(p) for p in _partitions(n))
     out.extend(build_wreath(k) for k in (3, 4))
-    out.extend(build_qw(profile_to_sequence(p)) for m in range(3, 9) for p in _compositions(m))
+    out.extend(build_qw(profile_to_sequence(p)) for p in all_profiles(8))
     return out
 
 
@@ -450,7 +442,7 @@ def _leaf_key(g):
     perm = list(range(g.n))
     perm[0], perm[top] = top, 0
     h = g.relabel(perm)
-    return _least_key(h, _root_cells([set(a) for a in h.neighbors]), [])
+    return _least_key(h, _root_cells([set(a) for a in h.neighbors]))
 
 
 class TestSeededCertificate:

@@ -4,6 +4,7 @@ import time
 import pytest
 
 import dmlab.kfk as kfk
+from conftest import odd_compositions
 from dmlab.constructive import construct_labeling
 from dmlab.errors import ExpansionError
 from dmlab.graph import Graph, canonical_certificate, is_connected, is_regular, write_graph6
@@ -164,17 +165,11 @@ class TestExpandDefault:
         assert any(adj[u] & adj[v] for u, v in g2.edges)
 
 
-def _odd_compositions(max_m, prefix=()):
-    for a in range(3, max_m - sum(prefix) + 1, 2):
-        yield prefix + (a,)
-        yield from _odd_compositions(max_m, prefix + (a,))
-
-
 def _pin_inputs():
     """(input, graph, labeling): every distance magic QW profile with m <= 14
     (all have odd parts) in (m, profile) order, then W(3..12)."""
     profiles = sorted(
-        (p for p in _odd_compositions(14) if classify(profile_to_sequence(p)).distance_magic),
+        (p for p in odd_compositions(14) if classify(profile_to_sequence(p)).distance_magic),
         key=lambda p: (sum(p), p),
     )
     for parts in profiles:

@@ -1,10 +1,12 @@
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dm_profiles
 from dmlab.constructive import construct_labeling
 from dmlab.errors import DmlabError, OddOrderError, OrderMismatchError
 from dmlab.graph import parse_graph6
@@ -143,18 +145,10 @@ class TestBlockLabels:
 
 class TestBlockRecurrence:
     def test_holds_for_constructed_labelings(self):
-        import itertools
-
-        parts_pool = [3, 5, 7, 9, 11]
-        for r in range(1, 5):
-            for parts in itertools.product(parts_pool, repeat=r):
-                seq = profile_to_sequence(parts)
-                from dmlab.qw import classify
-
-                if not classify(seq).distance_magic:
-                    continue
-                lab = construct_labeling(seq)
-                assert check_block_recurrence(seq, block_labels(seq, lab))
+        for parts in dm_profiles((3, 5, 7, 9, 11), 4, 44):
+            seq = profile_to_sequence(parts)
+            lab = construct_labeling(seq)
+            assert check_block_recurrence(seq, block_labels(seq, lab))
 
     def test_holds_for_wreath_labeling_transported_to_qw3(self):
         import itertools
@@ -205,6 +199,13 @@ class TestJson:
         assert doc["scheme"] == "centered"
 
     @pytest.mark.parametrize(
+        "obj", [(2, (1, -1)), SimpleNamespace(scheme="centered", order=2, labels=(1, -1))]
+    )
+    def test_non_labeling_rejected(self, obj):
+        with pytest.raises(TypeError, match="not a labeling"):
+            labeling_to_json(obj)
+
+    @pytest.mark.parametrize(
         "field,value",
         [
             ("order", 6.0),
@@ -218,6 +219,8 @@ class TestJson:
             ("labels", "531"),
             ("schema", "dmlab/2"),
             ("schema", None),
+            ("scheme", "banana"),
+            ("scheme", ["centered"]),
         ],
     )
     def test_inexact_fields_rejected(self, field, value):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import compositions
+from conftest import all_profiles, compositions
 from dmlab.errors import InvalidSequenceError
 from dmlab.graph import Graph, is_connected, is_regular
 from dmlab.qw import (
@@ -23,12 +23,6 @@ from dmlab.qw import (
     validate_sequence,
 )
 from dmlab.graph import canonical_certificate
-
-
-def all_profiles(max_m):
-    """Every composition of 3..max_m into parts >= 2."""
-    for m in range(3, max_m + 1):
-        yield from compositions(m)
 
 
 profiles_st = (
@@ -263,7 +257,7 @@ class TestClassifier:
                 )
             return Classification(True)
 
-        profiles = [p for m in range(3, 17) for p in compositions(m)]
+        profiles = all_profiles(16)
         assert len(profiles) == 1595
         for parts in profiles:
             seq = profile_to_sequence(parts)

@@ -265,6 +265,10 @@ class TestDecideProfile:
     def test_matches_theorem(self, parts, expected):
         assert decide_profile(parts) == expected
 
+    def test_exhausted_budget_raises_dmlab_error(self):
+        with pytest.raises(DmlabError, match="budget exhausted"):
+            decide_profile((3, 3), SearchOptions(node_budget=0))
+
     def test_found_labelings_satisfy_block_recurrence(self):
         from dmlab.labeling import block_labels, check_block_recurrence
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import QUARTIC_10, compositions, random_graph, recombine
+from conftest import QUARTIC_10, all_profiles, random_graph, recombine
 from dmlab.errors import DmlabError, NotEvenRegularError
 from dmlab.graph import Graph, parse_graph6
 from dmlab.labeling import CenteredLabeling, verify, wreath_labeling
@@ -104,11 +104,6 @@ def rank_mod_prime(g):
     return rank
 
 
-def qw_profiles(max_m):
-    """Every segment profile (parts >= 2) with 3 <= m <= max_m."""
-    return [p for m in range(3, max_m + 1) for p in compositions(m)]
-
-
 class TestKernelDimension:
     """The kernel is as large as an independent rank computation says, so a
     search that branches only on its free coordinates misses no labeling."""
@@ -121,7 +116,7 @@ class TestKernelDimension:
             self.check(parse_graph6(s))
 
     def test_quasi_wreath_profiles(self):
-        profiles = qw_profiles(8)
+        profiles = all_profiles(8)
         assert len(profiles) == 32
         for parts in profiles:
             self.check(build_qw(profile_to_sequence(parts)))
@@ -199,7 +194,7 @@ class TestAgainstDenseElimination:
             self.check(adjacency_matrix(parse_graph6(s)))
 
     def test_quasi_wreath_profiles(self):
-        for parts in qw_profiles(8):
+        for parts in all_profiles(8):
             self.check(adjacency_matrix(build_qw(profile_to_sequence(parts))))
 
     def test_random_graphs(self):
@@ -296,7 +291,7 @@ class TestIntArithmetic:
 
     def test_integral_entries_are_ints(self):
         matrices = [adjacency_matrix(parse_graph6(s)) for s in QUARTIC_10]
-        matrices += [adjacency_matrix(build_qw(profile_to_sequence(p))) for p in qw_profiles(10)]
+        matrices += [adjacency_matrix(build_qw(profile_to_sequence(p))) for p in all_profiles(10)]
         matrices += list(random_int_rows())
         for rows in matrices:
             mat = [list(row) for row in rows]
@@ -430,11 +425,10 @@ class TestPinnedEqualPair:
             assert pinned_equal_pair(vs, g.n) == pinned_pair_reference(vs, g.n), s
 
     def test_qw_profiles_up_to_10(self):
-        for m in range(3, 11):
-            for parts in compositions(m):
-                g = build_qw(profile_to_sequence(parts))
-                vs = nullspace_basis(adjacency_matrix(g)).vectors
-                assert pinned_equal_pair(vs, g.n) == pinned_pair_reference(vs, g.n), parts
+        for parts in all_profiles(10):
+            g = build_qw(profile_to_sequence(parts))
+            vs = nullspace_basis(adjacency_matrix(g)).vectors
+            assert pinned_equal_pair(vs, g.n) == pinned_pair_reference(vs, g.n), parts
 
     def test_random_bases(self):
         rng = random.Random(7)
