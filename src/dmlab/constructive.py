@@ -3,7 +3,8 @@
 Implements the explicit block-by-block labeling that proves the sufficient
 half of the classification: any sequence whose segments are all of type A
 (length = 3 mod 4) or type B (length = 1 mod 4), with an even number of
-type-B segments, gets a labeling with every vertex weight 0.
+type-B segments, gets a labeling with every vertex weight 0.  ``plan`` is
+the classifier's guard in front of ``qw.segments``, which carry the pairing.
 
 Blocks are written exactly once each; a second write raises InvariantError,
 so a mis-scoped index range fails loudly instead of silently overwriting.
@@ -11,42 +12,20 @@ so a mis-scoped index range fails loudly instead of silently overwriting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .errors import InvariantError, NotDistanceMagicError
 from .labeling import CenteredLabeling, block_labels
-from .qw import TYPE_A, TYPE_B, TYPE_OTHER, QWSequence, Segment, classify, segment_type
+from .qw import TYPE_A, QWSequence, Segment, classify, segments
 
 
-@dataclass(frozen=True)
-class PlannedSegment(Segment):
-    """A segment of a distance magic sequence with its sign and pairing."""
-
-    b: int                  # number of type-B segments before this one (b_1 = 0)
-    partner: Optional[int]  # for type-B with b even: index of the next type-B segment
-
-
-def plan(seq: QWSequence) -> Tuple[PlannedSegment, ...]:
-    """The segments of seq with the sign/pairing bookkeeping of the labeling.
-
-    Only defined for distance-magic sequences: every type-B segment with an
-    even count of type-B predecessors is matched to the next type-B segment,
-    which is a perfect matching exactly because the type-B count is even.
-    """
-    zeros = [i for i, bit in enumerate(seq.bits) if bit == 0]
-    bounds = list(zip(zeros, zeros[1:] + [seq.m]))
-    kinds = [segment_type(end - k) for k, end in bounds]
-    type_b = [i for i, kind in enumerate(kinds, 1) if kind == TYPE_B]  # 1-based indices
-    if TYPE_OTHER in kinds or len(type_b) % 2:
-        raise NotDistanceMagicError(classify(seq).reason)
-    partner = dict(zip(type_b[::2], type_b[1::2]))
-    planned = []
-    b = 0
-    for i, ((k, end), kind) in enumerate(zip(bounds, kinds), 1):
-        planned.append(PlannedSegment(i, k, end - k, kind, b, partner.get(i)))
-        b += kind == TYPE_B
-    return tuple(planned)
+def plan(seq: QWSequence) -> Tuple[Segment, ...]:
+    """The segments of seq, whose ``b`` and ``partner`` the labeling is written
+    from; NotDistanceMagicError with the classifier's reason if seq is not DM."""
+    verdict = classify(seq)
+    if not verdict.distance_magic:
+        raise NotDistanceMagicError(verdict.reason)
+    return tuple(segments(seq))
 
 
 class _BlockWriter:

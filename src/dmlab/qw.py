@@ -5,13 +5,16 @@ A quasi wreath graph QW(S) of order 2m lives on two m-cycles (x_0..x_{m-1}
 and y_0..y_{m-1}); position i carries a "rung" pair of edges when s_i = 0 and
 a "crossing" pair when s_i = 1.  Vertex convention everywhere: x_i -> i,
 y_i -> m + i.
+
+One scan of the bits gives the segment lengths; the profile, the classifier
+and the segments with their type-B pairing are all read from them.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import InvalidSequenceError
 from .graph import Graph
@@ -30,10 +33,6 @@ class QWSequence:
     @property
     def m(self) -> int:
         return len(self.bits)
-
-    @property
-    def order(self) -> int:
-        return 2 * len(self.bits)
 
 
 def validate_sequence(bits: Sequence[int]) -> QWSequence:
@@ -61,8 +60,6 @@ def parse_profile(text: str) -> Tuple[int, ...]:
         parts = tuple(int(tok) for tok in text.split(","))
     except ValueError:
         raise InvalidSequenceError(f"malformed profile {text!r}") from None
-    if not parts:
-        raise InvalidSequenceError("empty profile")
     return parts
 
 
@@ -83,7 +80,12 @@ def profile_to_sequence(parts: Sequence[int]) -> QWSequence:
 
 def sequence_to_profile(seq: QWSequence) -> Tuple[int, ...]:
     """Run lengths between consecutive zero bits (inverse of profile_to_sequence)."""
-    return tuple(s.length for s in segments(seq))
+    return tuple(_lengths(seq))
+
+
+def _lengths(seq: QWSequence) -> List[int]:
+    """The segment lengths in order: each is a zero bit and the run of ones after it."""
+    return [len(run) + 1 for run in bytes(seq.bits).split(b"\0")[1:]]
 
 
 def segment_type(length: int) -> str:
@@ -101,12 +103,18 @@ class Segment:
     Segment i (1-based) starts at the zero bit k_i and covers blocks
     B_{k_i+1} .. B_{k_i+length}.  Its ``end`` is k_{i+1}, the next zero bit,
     with k_{t+1} = m after the last of the t segments.
+
+    ``b`` and ``partner`` are the theorem's type-B pairing: in order, the
+    type-B segments pair up (1st-2nd, 3rd-4th, ...) exactly when their count
+    is even, and the constructive labeling writes each pair together.
     """
 
     index: int     # 1-based
     start: int     # k_i, position of the zero bit
     length: int
     kind: str      # TYPE_A / TYPE_B / TYPE_OTHER
+    b: int                  # number of type-B segments before this one
+    partner: Optional[int]  # for type-B with b even: index of the next type-B segment
 
     @property
     def end(self) -> int:
@@ -114,11 +122,16 @@ class Segment:
 
 
 def segments(seq: QWSequence) -> List[Segment]:
-    """The segments of seq in order, from one scan of its zero bits."""
-    zeros = [i for i, b in enumerate(seq.bits) if b == 0]
+    """The segments of seq in order, with their type-B pairing."""
+    lengths = _lengths(seq)
+    kinds = [segment_type(a) for a in lengths]
+    type_b = [i for i, kind in enumerate(kinds, 1) if kind == TYPE_B]  # 1-based indices
+    partner = dict(zip(type_b[::2], type_b[1::2]))
+    starts = itertools.accumulate(lengths, initial=0)
+    before = itertools.accumulate((kind == TYPE_B for kind in kinds), initial=0)
     return [
-        Segment(index=i + 1, start=k, length=end - k, kind=segment_type(end - k))
-        for i, (k, end) in enumerate(zip(zeros, zeros[1:] + [seq.m]))
+        Segment(i, k, a, kind, b, partner.get(i))
+        for i, (a, kind, k, b) in enumerate(zip(lengths, kinds, starts, before), 1)
     ]
 
 
@@ -131,14 +144,11 @@ class Classification:
 def classify(seq: QWSequence) -> Classification:
     """Distance magic iff every segment length is odd and the number of
     segments of length = 1 (mod 4) is even."""
-    # a segment is a zero bit and the run of ones after it, so its length is
-    # the run's plus one: an odd run is an even segment, a run of 0 mod 4 type B
-    ones = [len(run) for run in bytes(seq.bits).split(b"\0")[1:]]
-    if any(a % 2 for a in ones):
-        even = [s for s in segments(seq) if s.kind == TYPE_OTHER]
-        where = ", ".join(f"segment {s.index} (length {s.length})" for s in even)
-        return Classification(False, f"segments of even length: {where}")
-    b_count = sum(a % 4 == 0 for a in ones)
+    lengths = _lengths(seq)
+    even = ", ".join(f"segment {i} (length {a})" for i, a in enumerate(lengths, 1) if a % 2 == 0)
+    if even:
+        return Classification(False, f"segments of even length: {even}")
+    b_count = sum(a % 4 == 1 for a in lengths)
     if b_count % 2:
         return Classification(
             False, f"odd number of type-B segments (length = 1 mod 4): {b_count}"

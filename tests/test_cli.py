@@ -1,5 +1,8 @@
+import io
+import itertools
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -277,6 +280,14 @@ class TestSearch:
         assert code == EXIT_ERROR
         assert json.loads(out)["stats"]["nodes"] == 10
 
+    def test_budget_secs_exhausted_exit_2(self, capsys, tmp_path):
+        # no labeling of this n = 74 graph is found in 10 s, so 0.05 s expires
+        graph_file = tmp_path / "g.g6"
+        graph_file.write_text(write_graph6(build_qw(profile_to_sequence((11, 3, 5, 3, 7, 5, 3)))))
+        code, out, _ = run(capsys, "search", "--graph", str(graph_file), "--budget-secs", "0.05")
+        assert code == EXIT_ERROR
+        assert json.loads(out)["verdict"] == "budget-exhausted"
+
     @pytest.mark.parametrize(
         "flag,value,message",
         [
@@ -536,3 +547,34 @@ class TestParsing:
 
     def test_help_exit_0(self, capsys):
         assert run(capsys, "--help")[0] == EXIT_OK
+
+
+def readme_cli_examples():
+    """The command lines of the sh block under README.md's "## CLI", split into
+    words, comments dropped."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = (shlex.split(line, comments=True) for line in block.splitlines())
+    return [words for words in lines if words]
+
+
+class TestReadme:
+    def test_cli_examples_exit_0(self, capsys, monkeypatch, tmp_path):
+        # the examples run in order, so later ones read the files earlier ones write
+        monkeypatch.chdir(tmp_path)
+        examples = readme_cli_examples()
+        assert len(examples) == 13
+        for words in examples:
+            stages = [list(g) for pipe, g in itertools.groupby(words, lambda w: w == "|") if not pipe]
+            # the last example pipes into graphviz, which need not be installed
+            stages = [stage for stage in stages if stage[0] != "dot"]
+            stdout = ""
+            for stage in stages:
+                assert stage[0] == "dmlab", words
+                target = stage[-1] if stage[-2:-1] == [">"] else None
+                monkeypatch.setattr(sys, "stdin", io.StringIO(stdout))
+                code = main(stage[1:-2] if target else stage[1:])
+                stdout = capsys.readouterr().out
+                assert code == EXIT_OK, words
+                if target:
+                    Path(target).write_text(stdout, encoding="utf-8")

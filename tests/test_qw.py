@@ -224,6 +224,22 @@ class TestSegments:
         assert sum(s.length for s in segs) == seq.m
         assert len(segs) == seq.bits.count(0)
 
+    def test_type_b_pairing_every_profile_up_to_16(self):
+        # distance magic or not: b counts the type-B segments before each
+        # segment, and the type-B segments pair 1-2, 3-4, ... in order
+        for parts in all_profiles(16):
+            segs = segments(profile_to_sequence(parts))
+            type_b = [s.index for s in segs if s.kind == TYPE_B]
+            assert [s.b for s in segs] == [sum(i < s.index for i in type_b) for s in segs], parts
+            # an odd count leaves the last type-B segment out of pairs, so None
+            pairs = dict(zip(type_b[::2], type_b[1::2]))
+            assert {s.index: s.partner for s in segs if s.partner is not None} == pairs, parts
+
+    def test_odd_type_b_count_leaves_last_unpaired(self):
+        assert [s.partner for s in segments(profile_to_sequence((5,)))] == [None]
+        assert [s.partner for s in segments(profile_to_sequence((5, 5, 5)))] == [2, None, None]
+        assert [s.b for s in segments(profile_to_sequence((5, 3, 5, 5)))] == [0, 1, 1, 2]
+
 
 class TestClassifier:
     @pytest.mark.parametrize(

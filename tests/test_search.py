@@ -72,6 +72,14 @@ class TestFindLabeling:
         assert outcome.verdict == BUDGET_EXHAUSTED
         assert outcome.stats["nodes"] == budget
 
+    def test_time_budget_exhausted(self):
+        # the complete search finds no labeling of this n = 74 graph in 10 s,
+        # so a 0.05 s budget always expires first
+        g = build_qw(profile_to_sequence((11, 3, 5, 3, 7, 5, 3)))
+        outcome = find_labeling(g, SearchOptions(time_budget=0.05))
+        assert outcome.verdict == BUDGET_EXHAUSTED
+        assert outcome.labeling is None
+
     @pytest.mark.parametrize("mode", [FIND_ONE, COUNT_ALL])
     def test_no_verdict_over_budget(self, mode):
         g = build_qw(profile_to_sequence((3, 3)))
