@@ -128,8 +128,8 @@ def enumerate_regular(task: EnumerationTask) -> Iterator[Graph]:
         if v <= r + 1:
             if v >= r:
                 # triangles, final for 0: rows 1..r-1 fixed every edge among 1..r
-                top = _vertex_invariant(adj, 0)[0]
-                if any(_vertex_invariant(adj, u)[0] > top for u in range(1, fresh)):
+                top = _triangles(adj, 0)
+                if any(_triangles(adj, u) > top for u in range(1, fresh)):
                     return  # no count falls as edges are added, so no leaf below is kept
             # only vertices below fresh have edges, so adj[:fresh] is a graph
             partial = Graph._from_neighbors(tuple(tuple(sorted(a)) for a in adj[:fresh]))
@@ -178,6 +178,12 @@ def _vertex_invariant(adj: List[set], v: int):
             elif w != v:
                 common[w] = common.get(w, 0) + 1
     return twice_triangles // 2, tuple(sorted(common.values(), reverse=True))
+
+
+def _triangles(adj: List[set], v: int) -> int:
+    """Triangles at v, _vertex_invariant's first entry, without its common-neighbour counts."""
+    near = adj[v]
+    return sum([len(near & adj[u]) for u in near]) // 2
 
 
 def _root_cells(adj: List[set]):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import compress, count
+from operator import add
 from typing import Tuple
 
 from .errors import DmlabError, OddOrderError, OrderMismatchError
@@ -72,15 +73,22 @@ class VerificationReport:
 def verify(g: Graph, lab: CenteredLabeling) -> VerificationReport:
     """Distance magic check in the centered scheme (target weight 0).
 
-    All weights are computed even after a violation, for diagnostics.
+    One pass over the neighbour tuples, for a graph of any degrees, sums each
+    vertex's neighbour labels.  All weights are computed even after a
+    violation, for diagnostics.
     """
     if lab.order != g.n:
         raise OrderMismatchError(f"labeling order {lab.order} != graph order {g.n}")
-    label = lab.labels.__getitem__
-    weights = tuple(sum(map(label, nb)) for nb in g.neighbors)
+    labels = lab.labels
+    weights = []
+    for nb in g.neighbors:
+        w = 0
+        for u in nb:
+            w += labels[u]
+        weights.append(w)
     bijective = lab.is_bijection()
     first = next(compress(count(), weights), None)  # the first vertex of nonzero weight
-    return VerificationReport(weights, bijective, bijective and first is None, first)
+    return VerificationReport(tuple(weights), bijective, bijective and first is None, first)
 
 
 def to_standard(lab: CenteredLabeling) -> StandardLabeling:
@@ -112,7 +120,7 @@ def block_labels(seq: QWSequence, lab: CenteredLabeling) -> Tuple[int, ...]:
     m = seq.m
     if lab.order != 2 * m:
         raise OrderMismatchError(f"labeling order {lab.order} != 2m = {2 * m}")
-    return tuple(lab.labels[i] + lab.labels[m + i] for i in range(m))
+    return tuple(map(add, lab.labels[:m], lab.labels[m:]))
 
 
 def check_block_recurrence(seq: QWSequence, bl: Tuple[int, ...]) -> bool:
@@ -126,17 +134,16 @@ def check_block_recurrence(seq: QWSequence, bl: Tuple[int, ...]) -> bool:
     if len(bl) != m:
         raise OrderMismatchError(f"{len(bl)} block labels for m = {m}")
     bits = seq.bits
-    for i in range(m):
-        si, sj = bits[i], bits[(i + 1) % m]
-        nxt = bl[(i + 2) % m]
+    rows = zip(bits, bits[1:] + bits[:1], bl, bl[1:] + bl[:1], bl[2:] + bl[:2])
+    for si, sj, li, lj, nxt in rows:  # s_i, s_{i+1}, l_i, l_{i+1}, l_{i+2}, indices mod m
         if si == 1 and sj == 1:
-            if nxt != -bl[i]:
+            if nxt != -li:
                 return False
         elif si == 0 and sj == 1:
-            if 2 * nxt != -(bl[i] + bl[(i + 1) % m]):
+            if 2 * nxt != -(li + lj):
                 return False
         else:  # si == 1, sj == 0; (0,0) is excluded by sequence validation
-            if nxt != -2 * bl[i] - bl[(i + 1) % m]:
+            if nxt != -2 * li - lj:
                 return False
     return True
 

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dm_profiles
+from conftest import all_profiles, dm_profiles, random_graph
 from dmlab.constructive import construct_labeling
 from dmlab.errors import DmlabError, OddOrderError, OrderMismatchError
-from dmlab.graph import parse_graph6
+from dmlab.graph import Graph, parse_graph6
 from dmlab.labeling import (
     CenteredLabeling,
     StandardLabeling,
@@ -61,6 +61,54 @@ class TestVerify:
     def test_order_mismatch(self):
         with pytest.raises(OrderMismatchError):
             verify(build_wreath(3), wreath_labeling(4))
+
+    @staticmethod
+    def _reference(g, labels):
+        """The report's fields from their definitions: weights summed over the
+        edge list, the least vertex of nonzero weight, and the labels sorted
+        onto range(1 - n, n, 2)."""
+        n = g.n
+        weights = [0] * n
+        for u, v in g.edges:
+            weights[u] += labels[v]
+            weights[v] += labels[u]
+        first = min((v for v in range(n) if weights[v]), default=None)
+        bijective = sorted(labels) == list(range(1 - n, n, 2))
+        return tuple(weights), first, bijective
+
+    def test_matches_definition_on_mixed_degrees(self, rng):
+        graphs = [
+            Graph(1, []),  # n = 1: the empty sum, so (0,) is distance magic
+            Graph(5, []),  # isolated vertices only
+            Graph(7, [(0, v) for v in range(1, 7)] + [(1, 2), (3, 4)]),  # degree n - 1
+            Graph(6, [(0, 1), (1, 2), (2, 3)]),  # a path and two isolated vertices
+            Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]),  # C4, distance magic
+            build_wreath(3),
+        ]
+        for n in range(1, 15):
+            for p in (0.1, 0.3, 0.6, 0.9):
+                graphs.append(random_graph(rng, n, p))
+        seen_ok = seen_odd = seen_mixed = 0
+        for g in graphs:
+            n = g.n
+            seen_mixed += len({len(nb) for nb in g.neighbors}) > 1
+            candidates = [tuple(range(1 - n, n, 2)), tuple(rng.randint(-n, n) for _ in range(n))]
+            shuffled = list(range(1 - n, n, 2))
+            rng.shuffle(shuffled)
+            candidates.append(tuple(shuffled))
+            if n == 4:
+                candidates.append((3, 1, -3, -1))  # l(0) = -l(2), l(1) = -l(3) on C4
+            for labels in candidates:
+                report = verify(g, CenteredLabeling(n, labels))
+                weights, first, bijective = self._reference(g, labels)
+                assert report.weights == weights
+                assert report.first_violation == first
+                assert report.bijective == bijective
+                assert report.ok == (bijective and first is None)
+                seen_ok += report.ok
+                seen_odd += n % 2
+        # both verdicts, odd orders and graphs of mixed degree were exercised
+        assert seen_ok >= 2 and seen_odd > 0 and seen_mixed > 20
 
 
 class TestSchemeConversion:
@@ -132,6 +180,15 @@ class TestBlockLabels:
             lab = construct_labeling(seq)
             assert sum(block_labels(seq, lab)) == 0
 
+    def test_is_x_plus_y_on_random_labelings(self, rng):
+        for parts in rng.sample(all_profiles(14), 40):
+            seq = profile_to_sequence(parts)
+            m = seq.m
+            labels = tuple(rng.randint(-3 * m, 3 * m) for _ in range(2 * m))
+            # l(x_i) + l(y_i), with x_i -> i and y_i -> m + i
+            expected = tuple(labels[i] + labels[m + i] for i in range(m))
+            assert block_labels(seq, CenteredLabeling(2 * m, labels)) == expected
+
     def test_lemma_consecutive_blocks_after_rung(self):
         # after a zero bit, the next two block labels are never negatives
         for parts in [(3,), (3, 3), (7,), (5, 5), (3, 5, 5, 3)]:
@@ -180,6 +237,21 @@ class TestBlockRecurrence:
         assert 2 * bl[2] == -(bl[0] + bl[1]) and bl[3] == -bl[1]  # i = 0, 1 still hold
         assert bl[4] != -2 * bl[2] - bl[3]
         assert not check_block_recurrence(seq, bl)
+
+    @pytest.mark.parametrize("parts", [(3,), (3, 3), (5, 3, 5)])
+    def test_every_single_block_change_is_caught(self, parts):
+        # Equation i = k - 2 (mod m) reads l_k as l_{i+2} with coefficient 1 or
+        # 2 and, for m >= 3, l_{k-2} and l_{k-1} are other blocks, so changing
+        # l_k alone breaks it, also where the indices wrap (k = 0, m - 2, m - 1).
+        # (5, 3, 5) has all three bit-pair cases and a type-B pair.
+        seq = profile_to_sequence(parts)
+        bl = block_labels(seq, construct_labeling(seq))
+        assert check_block_recurrence(seq, bl)
+        for k in range(seq.m):
+            for delta in (2, -2):
+                changed = list(bl)
+                changed[k] += delta
+                assert not check_block_recurrence(seq, tuple(changed)), (k, delta)
 
     def test_violated_by_random_non_magic_labeling(self, rng):
         seq = profile_to_sequence((3, 3))
