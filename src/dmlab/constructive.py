@@ -6,13 +6,15 @@ half of the classification: any sequence whose segments are all of type A
 type-B segments, gets a labeling with every vertex weight 0.  ``plan`` is
 the classifier's guard in front of ``qw.segments``, which carry the pairing.
 
-Blocks are written exactly once each; a second write raises InvariantError,
-so a mis-scoped index range fails loudly instead of silently overwriting.
+Labels are appended in block order, so each block is written exactly once.
+The one block a segment fixes ahead of the order, its type-B partner's
+penultimate, is held until the partner reaches it; a hold that is missing or
+left over, or a label count other than m, raises InvariantError.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .errors import InvariantError, NotDistanceMagicError
 from .labeling import CenteredLabeling, block_labels
@@ -28,62 +30,59 @@ def plan(seq: QWSequence) -> Tuple[Segment, ...]:
     return tuple(segments(seq))
 
 
-class _BlockWriter:
-    def __init__(self, m: int):
-        self.m = m
-        self.labels: List[Optional[int]] = [None] * (2 * m)  # x_0..x_{m-1}, y_0..y_{m-1}
-
-    def put(self, block: int, x_label: int, y_label: int):
-        block %= self.m
-        if self.labels[block] is not None:
-            raise InvariantError(f"block {block} written twice")
-        self.labels[block] = x_label
-        self.labels[self.m + block] = y_label
-
-    def finish(self) -> CenteredLabeling:
-        if None in self.labels:
-            raise InvariantError("some block was never labeled")
-        return CenteredLabeling(2 * self.m, tuple(self.labels))
-
-
 # (alpha - 2j, beta - 2j) for interior block k_i + j, 2 <= j <= length - 3, by j mod 4
 _INTERIOR_OFFSETS = ((3, 3), (-1, -3), (1, 1), (1, 3))
 
 
 def _assign(seq: QWSequence, starred: bool) -> CenteredLabeling:
-    """Write each segment's blocks in one pass: its first two blocks, its
+    """Append each segment's blocks in block order: its first two blocks, its
     interior blocks, then its last two.
 
-    A type-B segment i with even b also writes the penultimate block of its
-    partner i', which then writes only its own last block.
+    A type-B segment i with even b also fixes the penultimate block of its
+    partner i', which is held until i' reaches it.
     """
     segs = plan(seq)
-    out = _BlockWriter(seq.m)
+    xs: List[int] = []  # x_0, x_1, ... in block order
+    ys: List[int] = []
+    held: Dict[int, Tuple[int, int]] = {}  # block -> labels fixed by its partner
     for s in segs:
         sign = -1 if s.b % 2 else 1
-        ki = s.start
-        off = 2 * ki
-        out.put(ki, sign * (off + 1), sign * (-off - 3))
-        out.put(ki + 1, sign * (off + 3), sign * (-off - 1))
+        off = 2 * s.start
+        xs += (sign * (off + 1), sign * (off + 3))
+        ys += (sign * (-off - 3), sign * (-off - 1))
         for j in range(2, s.length - 2):  # 2 <= j <= length - 3
             alpha, beta = _INTERIOR_OFFSETS[j % 4]
-            out.put(ki + j, sign * (off + 2 * j + alpha), sign * (-off - 2 * j - beta))
+            xs.append(sign * (off + 2 * j + alpha))
+            ys.append(sign * (-off - 2 * j - beta))
         ke = 2 * s.end  # 2 k_{i+1}
+        last = (ke - 1, -ke + 1)
         if s.partner is not None:
             p_end = segs[s.partner - 1].end
             ke_p = 2 * p_end  # 2 k_{i'+1}
-            at_partner, at_own = (ke - 1, -ke + 3), (ke_p - 3, -ke_p + 3)
+            at_partner, last = (ke - 1, -ke + 3), (ke_p - 3, -ke_p + 3)
             if starred:
                 # label exchange between blocks B_{k_{i+1}-1} and B_{k_{i'+1}-2}
-                at_partner, at_own = at_own, at_partner
-            out.put(p_end - 2, *at_partner)
-            out.put(s.end - 1, *at_own)
-            out.put(s.end - 2, ke - 3, -ke + 1)
-            continue
-        if s.kind == TYPE_A and s.length > 3:
-            out.put(s.end - 2, sign * (ke - 5), sign * (-ke + 7))
-        out.put(s.end - 1, ke - 1, -ke + 1)
-    return out.finish()
+                at_partner, last = last, at_partner
+            held[p_end - 2] = at_partner
+            penultimate = (ke - 3, -ke + 1)
+        elif s.kind == TYPE_A:
+            if s.length == 3:  # the first two blocks were all but the last
+                xs.append(last[0])
+                ys.append(last[1])
+                continue
+            penultimate = (sign * (ke - 5), sign * (-ke + 7))
+        else:  # the second of a type-B pair
+            penultimate = held.pop(s.end - 2, None)
+            if penultimate is None:
+                raise InvariantError(f"block {s.end - 2} was not fixed by a type-B partner")
+        xs += (penultimate[0], last[0])
+        ys += (penultimate[1], last[1])
+    if held:
+        raise InvariantError(f"blocks {sorted(held)} were fixed but never reached")
+    if len(xs) != seq.m:
+        raise InvariantError(f"{len(xs)} blocks labeled for m = {seq.m}")
+    xs += ys
+    return CenteredLabeling(2 * seq.m, tuple(xs))
 
 
 def construct_labeling(seq: QWSequence) -> CenteredLabeling:

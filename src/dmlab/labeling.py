@@ -159,7 +159,7 @@ def labeling_to_json(lab) -> str:
     if not isinstance(lab, SCHEMES.get(getattr(lab, "scheme", None), ())):
         raise TypeError(f"not a labeling: {lab!r}")
     return json.dumps(
-        {"schema": SCHEMA, "order": lab.order, "scheme": lab.scheme, "labels": list(lab.labels)}
+        {"schema": SCHEMA, "order": lab.order, "scheme": lab.scheme, "labels": lab.labels}
     )
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InvalidSequenceError
 from .graph import Graph
@@ -96,8 +96,7 @@ def segment_type(length: int) -> str:
     return TYPE_OTHER
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     """Maximal run of blocks between consecutive zero bits.
 
     Segment i (1-based) starts at the zero bit k_i and covers blocks

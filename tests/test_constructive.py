@@ -3,11 +3,13 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from conftest import dm_profiles, odd_compositions
+from dmlab import constructive
 from dmlab.constructive import (
     block_label_pattern,
     construct_labeling,
@@ -230,21 +232,41 @@ class TestLargeSoundness:
             assert sorted(lab.labels) == list(centered_label_set(2 * seq.m))
 
 
+class TestMemory:
+    @pytest.mark.parametrize("parts", [(3,) * 10000, (5, 7, 9, 3, 5, 11) * 750])
+    def test_peak_bounded_by_labeling(self, parts):
+        # m = 30000: the segments and the two label lists are all the working
+        # memory; these read about 2.0 and 1.7
+        seq = profile_to_sequence(parts)
+        tracemalloc.start()
+        try:
+            lab = construct_labeling(seq)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert seq.m == 30000 and len(lab.labels) == 60000
+        assert peak <= 2.5 * kept
+
+
 class TestInvariantChecks:
     """Internal checks raise InvariantError, so they survive `python -O`."""
 
+    # (5, 3, 5) with the first type-B segment paired to the type-A segment:
+    # block 11, the true partner's penultimate, is never fixed
     SCRIPT = (
-        "from dmlab.constructive import _BlockWriter\n"
+        "import dmlab.constructive as c\n"
         "from dmlab.errors import InvariantError\n"
-        "w = _BlockWriter(3)\n"
-        "w.put(1, 1, -1)\n"
+        "from dmlab.qw import profile_to_sequence\n"
+        "seq = profile_to_sequence((5, 3, 5))\n"
+        "segs = c.plan(seq)\n"
+        "c.plan = lambda s: (segs[0]._replace(partner=2),) + segs[1:]\n"
         "try:\n"
-        "    w.put(4, 3, -3)\n"
+        "    c.construct_labeling(seq)\n"
         "except InvariantError as exc:\n"
         "    print('raised:', exc)\n"
     )
 
-    def test_double_block_write_raises_under_optimize(self):
+    def test_wrong_partner_raises_under_optimize(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
         proc = subprocess.run(
@@ -252,12 +274,26 @@ class TestInvariantChecks:
             env=env, capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "raised: block 1 written twice"
+        assert proc.stdout.strip() == "raised: block 11 was not fixed by a type-B partner"
 
-    def test_unlabeled_block_raises(self):
-        from dmlab.constructive import _BlockWriter
+    @staticmethod
+    def _patched(monkeypatch, parts, edit):
+        seq = profile_to_sequence(parts)
+        segs = constructive.plan(seq)
+        monkeypatch.setattr(constructive, "plan", lambda s: edit(segs))
+        return seq
 
-        w = _BlockWriter(2)
-        w.put(0, 1, -1)
-        with pytest.raises(InvariantError, match="never labeled"):
-            w.finish()
+    @pytest.mark.parametrize("construct", [construct_labeling, construct_tilde_labeling])
+    def test_unused_hold_raises(self, monkeypatch, construct):
+        # the second of the pair computes its own penultimate block, so the
+        # labels its partner fixed for block 11 are never used
+        seq = self._patched(
+            monkeypatch, (5, 3, 5), lambda segs: segs[:2] + (segs[2]._replace(kind=TYPE_A),)
+        )
+        with pytest.raises(InvariantError, match=r"blocks \[11\] were fixed but never reached"):
+            construct(seq)
+
+    def test_unlabeled_block_raises(self, monkeypatch):
+        seq = self._patched(monkeypatch, (3, 3), lambda segs: segs[:1])
+        with pytest.raises(InvariantError, match="3 blocks labeled for m = 6"):
+            construct_labeling(seq)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from types import SimpleNamespace
@@ -23,7 +24,7 @@ from dmlab.labeling import (
     verify,
     wreath_labeling,
 )
-from dmlab.qw import build_qw, build_wreath, profile_to_sequence, validate_sequence
+from dmlab.qw import build_qw, build_wreath, classify, profile_to_sequence, validate_sequence
 
 
 class TestVerify:
@@ -276,6 +277,24 @@ class TestJson:
     def test_roundtrip_standard(self):
         std = StandardLabeling(4, (2, 1, 4, 3))
         assert labeling_from_json(labeling_to_json(std)) == std
+
+    # SHA-256 over the centered and the standard document of the constructed
+    # labeling of every distance magic profile with m <= 14, each followed by
+    # a newline, in (m, profile) order
+    DOCS_SHA256 = "6ed0111c7ceab777efa43b60abf53e391de4cc6e70d503aa60b1d157cc009112"
+
+    def test_document_bytes_pinned(self):
+        h = hashlib.sha256()
+        count = 0
+        for parts in all_profiles(14):
+            seq = profile_to_sequence(parts)
+            if classify(seq).distance_magic:
+                lab = construct_labeling(seq)
+                for doc in (labeling_to_json(lab), labeling_to_json(to_standard(lab))):
+                    h.update(doc.encode() + b"\n")
+                count += 1
+        assert count == 20
+        assert h.hexdigest() == self.DOCS_SHA256
 
     def test_schema_field(self):
         doc = json.loads(labeling_to_json(wreath_labeling(3)))

@@ -224,6 +224,16 @@ class TestSegments:
         assert sum(s.length for s in segs) == seq.m
         assert len(segs) == seq.bits.count(0)
 
+    def test_segment_is_an_immutable_record(self):
+        (s, t) = segments(profile_to_sequence((5, 7)))
+        assert s._fields == ("index", "start", "length", "kind", "b", "partner")
+        assert s == (1, 0, 5, TYPE_B, 0, None)  # a NamedTuple equals the plain tuple
+        assert (t.start, t.length, t.end) == (5, 7, 12)
+        assert all(seg.end == seg.start + seg.length for seg in (s, t))
+        for name in s._fields + ("end",):
+            with pytest.raises(AttributeError):
+                setattr(s, name, 0)
+
     def test_type_b_pairing_every_profile_up_to_16(self):
         # distance magic or not: b counts the type-B segments before each
         # segment, and the type-B segments pair 1-2, 3-4, ... in order
