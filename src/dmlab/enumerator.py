@@ -17,7 +17,7 @@ that checks vertex 0 returns.  The cells are an isomorphism invariant, so
 every automorphism maps each onto itself (the search's twin and automorphism
 pruning need this) and keys are equal exactly when the graphs are isomorphic.
 The first leaf of each class is thus found as with the canonical certificate,
-which runs once per class to yield the graph it encodes.
+which enumerate_regular runs once per class and the census once per candidate.
 
 Nothing is lost.  Take any graph of the class and call a vertex of largest
 invariant (_vertex_invariant, unchanged by relabeling) 0, its neighbours
@@ -86,6 +86,16 @@ class EnumerationTask:
 
 def enumerate_regular(task: EnumerationTask) -> Iterator[Graph]:
     """Yield one r-regular graph per isomorphism class, as found, in its canonical form."""
+    for g in _classes(task):
+        yield _canonical_form(g)
+
+
+def _canonical_form(g: Graph) -> Graph:
+    return parse_graph6(canonical_certificate(g).decode("ascii"))
+
+
+def _classes(task: EnumerationTask) -> Iterator[Graph]:
+    """Yield one r-regular graph per isomorphism class, as found, as the walk labeled it."""
     n, r = task.order, task.valency
     if r < 0 or n < 1:
         raise EnumerationError(f"bad task: order {n}, valency {r}")
@@ -116,7 +126,7 @@ def enumerate_regular(task: EnumerationTask) -> Iterator[Graph]:
         key = _least_key(g, cells)
         if key not in seen:
             seen.add(key)
-            yield parse_graph6(canonical_certificate(g).decode("ascii"))
+            yield g
 
     def complete_row(v: int, fresh: int):
         # fresh = smallest vertex with no incident edge yet (untouched suffix)
@@ -209,7 +219,8 @@ class CensusRow:
 
 
 def census_pipeline(orders: Sequence[int], valency: int = 4) -> List[CensusRow]:
-    """Per order: enumerate, filter each graph as it arrives, and search-confirm the candidates."""
+    """Per order: enumerate, filter each class as the walk labeled it (a relabeling
+    keeps the verdict), and search-confirm the candidates in canonical form."""
     from .search import FOUND, find_labeling
     from .spectral import corollary_filter
 
@@ -217,12 +228,12 @@ def census_pipeline(orders: Sequence[int], valency: int = 4) -> List[CensusRow]:
     for n in orders:
         total = 0
         candidates = []
-        for g in enumerate_regular(EnumerationTask(n, valency, connected=True)):
+        for g in _classes(EnumerationTask(n, valency, connected=True)):
             if not is_regular(g, valency):
                 raise InvariantError(f"enumeration at order {n} produced an irregular graph")
             total += 1
             if corollary_filter(g).candidate:
-                candidates.append(g)
+                candidates.append(_canonical_form(g))
         confirmed = sum(
             1 for g in candidates if n % 2 == 0 and find_labeling(g).verdict == FOUND
         )

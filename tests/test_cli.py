@@ -404,6 +404,20 @@ class TestCensus:
         assert lines[1] == "6\t1\t1\t1"
         assert lines[2] == "8\t6\t1\t1"
 
+    def test_stdout_pinned(self, capsys):
+        # the census filters each class as the walk labeled it; the table must
+        # be the one it printed when every class was canonicalised first
+        code, out, err = run(capsys, "census", "--orders", "6", "7", "8", "9", "10")
+        assert (code, err) == (EXIT_OK, "")
+        assert out == (
+            "order\ttotal\tcandidates\tdm_confirmed\n"
+            "6\t1\t1\t1\n"
+            "7\t2\t0\t0\n"
+            "8\t6\t1\t1\n"
+            "9\t16\t0\t0\n"
+            "10\t59\t1\t1\n"
+        )
+
     def test_odd_valency_prints_nothing(self, capsys):
         # the first cubic graph ends the census before its table is printed
         code, out, err = run(capsys, "census", "--orders", "8", "--valency", "3")

@@ -268,28 +268,47 @@ class TestErrors:
 
 
 class TestCensus:
-    def test_orders_6_8_10(self):
+    def test_orders_6_8_10(self, monkeypatch):
+        calls = _count_certificates(monkeypatch)
         rows = census_pipeline([6, 8, 10])
         assert [(r.order, r.total, len(r.candidates), r.dm_confirmed) for r in rows] == [
             (6, 1, 1, 1),
             (8, 6, 1, 1),
             (10, 59, 1, 1),
         ]
+        # the filter reads the walk's labeled copy of each class, so only the
+        # 3 candidates are canonicalised, against all 66 classes before
+        assert calls.count("class") == 3
         for row in rows:
             (cand,) = row.candidates
             assert canonical_certificate(cand) == canonical_certificate(
                 build_wreath(row.order // 2)
             )
 
-    def test_order_12(self):
+    def test_order_12(self, monkeypatch):
         # the paper's order-12 row: W(6) and QW(3,3) are the only connected
         # quartic distance magic graphs among the 1544 of OEIS A006820
+        calls = _count_certificates(monkeypatch)
         (row,) = census_pipeline([12])
         assert (row.order, row.total, len(row.candidates), row.dm_confirmed) == (12, 1544, 2, 2)
+        # only the candidates are canonicalised: 2 certificates, against 1544
+        # when every class was before the filter
+        assert calls.count("class") == 2
         expected = {build_wreath(6), build_qw(profile_to_sequence((3, 3)))}
         assert {canonical_certificate(g) for g in row.candidates} == {
             canonical_certificate(g) for g in expected
         }
+        # in canonical form, in the order the walk reached them, as recorded
+        # when every class was canonicalised before the filter
+        assert all(write_graph6(c) == canonical_certificate(c).decode() for c in row.candidates)
+        assert [write_graph6(c) for c in row.candidates] == ["K?C`xzCqE_{C", "K??@xzKrF_]?"]
+
+    @pytest.mark.slow
+    def test_order_13(self):
+        # the largest order the enumerator accepts: 10,778 classes (OEIS
+        # A006820), none a candidate since the order is odd
+        (row,) = census_pipeline([13])
+        assert (row.order, row.total, len(row.candidates), row.dm_confirmed) == (13, 10778, 0, 0)
 
     def test_odd_orders_have_no_survivors(self):
         rows = census_pipeline([7, 9])
@@ -300,10 +319,10 @@ class TestCensus:
         import dmlab.spectral as spectral
 
         events = []
-        enumerate_all, filter_one = enumerator.enumerate_regular, spectral.corollary_filter
+        classes, filter_one = enumerator._classes, spectral.corollary_filter
 
-        def logged_enumerate(task):
-            for g in enumerate_all(task):
+        def logged_classes(task):
+            for g in classes(task):
                 events.append("yield")
                 yield g
 
@@ -311,7 +330,7 @@ class TestCensus:
             events.append("filter")
             return filter_one(g)
 
-        monkeypatch.setattr(enumerator, "enumerate_regular", logged_enumerate)
+        monkeypatch.setattr(enumerator, "_classes", logged_classes)
         monkeypatch.setattr(spectral, "corollary_filter", logged_filter)
         (row,) = census_pipeline([8])
         assert (row.total, len(row.candidates), row.dm_confirmed) == (6, 1, 1)

@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 
-from conftest import QUARTIC_10, all_profiles, random_graph, recombine
+from conftest import QUARTIC_10, all_profiles, random_graph, recombine, relabel
 from dmlab.errors import DmlabError, NotEvenRegularError
 from dmlab.graph import Graph, parse_graph6
 from dmlab.labeling import CenteredLabeling, verify, wreath_labeling
@@ -375,6 +376,28 @@ class TestFilter:
             for _ in range(50):
                 vs = recombine(basis.vectors, rng)
                 assert (pinned_equal_pair(vs, g.n) is None) == base
+
+    def test_verdict_invariant_under_relabeling(self):
+        # the census filters each class in whatever numbering the enumerator's
+        # walk gave it; a relabeling only permutes the kernel's coordinates,
+        # so the kernel dimension and the verdict must not change
+        graphs = [parse_graph6(s) for s in QUARTIC_10]
+        graphs += [build_qw(profile_to_sequence(p)) for p in all_profiles(10)]
+        for seed in range(40):
+            h = nx.random_regular_graph(4, 11 + seed % 10, seed=seed)
+            if nx.is_connected(h):
+                graphs.append(Graph(h.number_of_nodes(), h.edges()))
+        assert len(graphs) >= 59 + 87 + 30
+
+        def verdict(g):
+            return corollary_filter(g).candidate, nullspace_basis(adjacency_matrix(g)).dimension
+
+        verdicts = [verdict(g) for g in graphs]
+        # candidates, pinned pairs in a nontrivial kernel, and trivial kernels
+        assert {(c, d > 0) for c, d in verdicts} == {(True, True), (False, True), (False, False)}
+        for i, (g, base) in enumerate(zip(graphs, verdicts)):
+            for seed in range(3):
+                assert verdict(relabel(g, 1000 * i + seed)) == base
 
 
 class TestLemmaEv:
