@@ -22,7 +22,10 @@ Rules, fixed and always applied ((d) in count-all mode only):
       whole kernel: NOT_FOUND at once;
   (b) interval feasibility - on the branched vertex, the derived vertices
       and their neighbors, the partial neighbor sum plus the extreme
-      completions from the remaining label pool must straddle 0;
+      completions from the remaining label pool must straddle 0.  Once per
+      branched label, after its derivations, the pool's prefix sums give
+      the j least and the j greatest unused labels' sums for j <= r; a
+      vertex with j open neighbors reads its bounds there;
   (c) sign folding - the first free coordinate is labeled positive
       (labelings come in +-pairs, since negation preserves both conditions);
   (d) twin ordering - twins (vertices with equal neighbor sets) u < v must
@@ -38,7 +41,9 @@ Rules, fixed and always applied ((d) in count-all mode only):
       still halves the count exactly.  When every free coordinate has a twin
       there is no fold and the total is halved instead (prod k! is then
       even).  Find-one mode keeps rule (c) on the first free coordinate and
-      its search order.
+      its search order.  The twins of each vertex v are split once, before
+      the walk, into above[v] (twins u < v, which need l(u) > l(v)) and
+      below[v] (twins u > v, which need l(u) < l(v)).
 """
 
 from __future__ import annotations
@@ -126,8 +131,10 @@ def find_labeling(g: Graph, opts: Optional[SearchOptions] = None) -> SearchOutco
         derive[nonzero[-1]].append((p, scale, terms))
 
     nbrs = g.neighbors
-    # rule (d): twins[v] lists v's twins in count-all mode, orbit is prod k!
-    twins: list = [()] * n
+    # rule (d) in count-all mode: above[v] and below[v] split v's twins, and
+    # orbit is prod k!
+    above: list = [()] * n
+    below: list = [()] * n
     orbit = 1
     if opts.mode == COUNT_ALL:
         classes: dict = {}
@@ -136,8 +143,9 @@ def find_labeling(g: Graph, opts: Optional[SearchOptions] = None) -> SearchOutco
         for cls in classes.values():
             orbit *= math.factorial(len(cls))
             for v in cls:
-                twins[v] = tuple(u for u in cls if u != v)
-    fold = next((k for k, v in enumerate(free) if not twins[v]), None)
+                above[v] = tuple(u for u in cls if u < v)
+                below[v] = tuple(u for u in cls if u > v)
+    fold = next((k for k, v in enumerate(free) if not above[v] and not below[v]), None)
     labels_desc = sorted(centered_label_set(n), key=lambda x: (-abs(x), -x))
     assigned: list = [None] * n
     remaining = sorted(labels_desc)  # ascending pool of unused labels
@@ -147,28 +155,50 @@ def find_labeling(g: Graph, opts: Optional[SearchOptions] = None) -> SearchOutco
     leaves = 0
 
     def ordered(v: int, x: int) -> bool:
-        return all((u < v) == (assigned[u] > x) for u in twins[v] if assigned[u] is not None)
+        for u in above[v]:
+            y = assigned[u]
+            if y is not None and y < x:
+                return False
+        for u in below[v]:
+            y = assigned[u]
+            if y is not None and y > x:
+                return False
+        return True
 
-    def put(v: int, x: int, placed: list):
+    def put(v: int, x: int):
         assigned[v] = x
         in_pool.discard(x)
         remaining.remove(x)
-        placed.append(v)
 
     def settle(k: int, placed: list) -> bool:
         # derive the pivots that free[k] completes, then apply the interval rule
         for p, scale, terms in derive[k]:
-            x = sum(c * assigned[w] for w, c in terms) // scale
+            s = 0
+            for w, c in terms:
+                s += c * assigned[w]
+            x = s // scale
             if x not in in_pool:
                 stats["prune_kernel"] += 1
                 return False
-            if twins[p] and not ordered(p, x):
+            if not ordered(p, x):
                 return False
-            put(p, x, placed)
+            put(p, x)
+            placed.append(p)
+        # low[j] and high[j]: the sums of the j least and the j greatest unused labels
+        low = [0]
+        high = [0]
+        for j in range(min(r, len(remaining))):
+            low.append(low[j] + remaining[j])
+            high.append(high[j] + remaining[-1 - j])
         for u in {u for v in placed for u in (v, *nbrs[v])}:
-            known = [assigned[w] for w in nbrs[u] if assigned[w] is not None]
-            k_open = r - len(known)
-            if k_open and not sum(remaining[:k_open]) <= -sum(known) <= sum(remaining[-k_open:]):
+            s = 0
+            k_open = r
+            for w in nbrs[u]:
+                y = assigned[w]
+                if y is not None:
+                    s += y
+                    k_open -= 1
+            if k_open and not low[k_open] <= -s <= high[k_open]:
                 stats["prune_interval"] += 1
                 return False
         return True
@@ -188,15 +218,16 @@ def find_labeling(g: Graph, opts: Optional[SearchOptions] = None) -> SearchOutco
         stats["nodes"] += 1
         v = free[k]
         for x in labels_desc:
-            if x not in in_pool or (k == fold and x < 0) or (twins[v] and not ordered(v, x)):
+            if x not in in_pool or (k == fold and x < 0) or not ordered(v, x):
                 continue
-            placed: list = []
-            put(v, x, placed)
+            put(v, x)
+            placed = [v]
             if settle(k, placed) and descend(k + 1):
                 return True
             for w in placed:
-                in_pool.add(assigned[w])
-                bisect.insort(remaining, assigned[w])
+                y = assigned[w]
+                in_pool.add(y)
+                bisect.insort(remaining, y)
                 assigned[w] = None
         return False
 

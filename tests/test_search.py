@@ -118,6 +118,20 @@ class TestFindLabeling:
         assert calls == [6, 8, 8, 12]
 
 
+# count-all work (nodes, prune_interval, prune_kernel) on QW(parts) and on
+# its copies relabeled by seeds 1, 2 and 3
+RELABELED_WORK = {
+    ((7,), None): (3536, 16, 5552),
+    ((7,), 1): (24878, 3348, 68460),
+    ((7,), 2): (13423, 1049, 24396),
+    ((7,), 3): (15418, 1816, 52972),
+    ((3, 3), None): (681, 28, 840),
+    ((3, 3), 1): (711, 154, 1792),
+    ((3, 3), 2): (711, 154, 1792),
+    ((3, 3), 3): (711, 4, 232),
+}
+
+
 class TestCountMode:
     def test_raw_count_is_even_and_double_folded(self):
         outcome = find_labeling(C4, SearchOptions(mode=COUNT_ALL))
@@ -147,13 +161,16 @@ class TestCountMode:
     @pytest.mark.parametrize("seed", [None, 1, 2, 3])
     @pytest.mark.parametrize("parts,folded", [((7,), 39168), ((3, 3), 1728)])
     def test_count_pinned_on_relabeled_copies(self, parts, folded, seed):
-        # relabeling moves the twin classes, so twin order does not follow vertex index
+        # relabeling moves the twin classes, so twin order does not follow
+        # vertex index; the work is pinned as well as the count
         g = build_qw(profile_to_sequence(parts))
         if seed is not None:
             g = relabel(g, seed)
         outcome = find_labeling(g, SearchOptions(mode=COUNT_ALL))
         assert (outcome.count_folded, outcome.count_raw) == (folded, 2 * folded)
         assert verify(g, outcome.labeling).ok
+        stats = RELABELED_WORK[parts, seed]
+        assert outcome.stats == dict(zip(("nodes", "prune_interval", "prune_kernel"), stats))
 
     @pytest.mark.parametrize("parts,ceiling", [((7,), 4000), ((3, 3), 800)])
     def test_one_leaf_per_twin_orbit(self, parts, ceiling):

@@ -9,7 +9,7 @@ from dmlab.errors import DmlabError, NotEvenRegularError
 from dmlab.graph import Graph, parse_graph6
 from dmlab.labeling import CenteredLabeling, verify, wreath_labeling
 from dmlab import spectral
-from dmlab.qw import build_qw, build_wreath, profile_to_sequence
+from dmlab.qw import build_qw, build_wreath, classify, profile_to_sequence
 from dmlab.spectral import (
     adjacency_matrix,
     corollary_filter,
@@ -398,6 +398,26 @@ class TestFilter:
         for i, (g, base) in enumerate(zip(graphs, verdicts)):
             for seed in range(3):
                 assert verdict(relabel(g, 1000 * i + seed)) == base
+
+
+class TestFilterMatchesClassifier:
+    """On quasi wreath graphs the kernel filter's verdict equals the
+    classifier's.  With construct + verify on the distance magic side, this
+    machine-checks the classification to m = 16 in Tier-1 and to m = 20 in
+    the slow set; complete search checks it to m = 14 (acceptance 1)."""
+
+    @pytest.mark.parametrize(
+        "max_m,profiles,magic",
+        [(16, 1595, 32), pytest.param(20, 10944, 106, marks=pytest.mark.slow)],
+    )
+    def test_every_profile(self, max_m, profiles, magic):
+        seen = []
+        for p in all_profiles(max_m):
+            seq = profile_to_sequence(p)
+            dm = classify(seq).distance_magic
+            assert corollary_filter(build_qw(seq)).candidate == dm, p
+            seen.append(dm)
+        assert (len(seen), sum(seen)) == (profiles, magic)
 
 
 class TestLemmaEv:
