@@ -14,8 +14,8 @@ equal neighbour sets, in index order).  The counts match OEIS through order
 Kept leaves are told apart by a key: graph.py's certificate search started
 from the cells of equal vertex invariant, in ascending order, which the pass
 that checks vertex 0 returns.  The cells are an isomorphism invariant, so
-every automorphism maps each onto itself (the search's twin and automorphism
-pruning need this) and keys are equal exactly when the graphs are isomorphic.
+every automorphism maps each onto itself (the search's twin rule and
+backjump need this) and keys are equal exactly when the graphs are isomorphic.
 The first leaf of each class is thus found as with the canonical certificate,
 which enumerate_regular runs once per class and the census once per candidate.
 

@@ -13,11 +13,11 @@ from typing import Iterable, Tuple
 
 from .errors import Graph6Error, OrderTooLargeError
 
-# canonical_certificate skips only subtrees an automorphism maps onto visited
-# ones, so it is exact at every order.  This cap rejects larger graphs but does
-# not bound the cost, which is about the number of leaves with distinct keys:
-# small when refinement splits the graph into orbits, but not bounded by a
-# polynomial where cells that are not orbits survive it
+# canonical_certificate skips only subtrees a twin swap or an automorphism found
+# at two leaves with equal keys maps onto visited ones, so it is exact at every
+# order.  This cap rejects larger graphs but does not bound the cost: small when
+# refinement splits the graph into orbits, but not bounded by a polynomial where
+# cells that are not orbits survive it
 CERTIFICATE_MAX_ORDER = 20
 
 # graph6 short form covers 0 <= n <= 62 and the long form 63 <= n <= 258047;
@@ -193,9 +193,9 @@ def _pack_graph6(n: int, bits) -> str:
 # ---------------------------------------------------------------------------
 # Canonical certificate via individualization-refinement.  The certificate of
 # a graph is the graph6 line of its canonically relabeled copy, as bytes, so
-# equal certificates <=> isomorphic graphs.  The search skips only subtrees a
-# twin swap or an automorphism found at two leaves with equal keys maps onto
-# visited ones, so this holds at every order.
+# equal certificates <=> isomorphic graphs.  The search skips a twin's subtree,
+# and on reaching a leaf whose key equals the least one it leaves the subtree
+# it is in; both skip only keys already seen, so this holds at every order.
 # ---------------------------------------------------------------------------
 
 def _refine(neighbors, partition):
@@ -242,11 +242,11 @@ def canonical_certificate(g: Graph, root: int | None = None) -> bytes:
     """Isomorphism-invariant certificate, exact at every order.
 
     It is the graph6 line of the least adjacency key over the search tree.  A
-    node skips a child that an automorphism fixing the node's individualised
-    vertices maps onto a child already tried, since both subtrees reach the
-    same keys: twin swaps (K_n costs one leaf), and the automorphisms the
-    search finds at leaves whose key equals the least one.  On finding one it
-    goes back up to the node where the two leaves' paths part.  With a root the
+    node skips a child that is a twin of a child already tried, since swapping
+    the two maps one subtree onto the other (K_n costs one leaf).  A leaf whose
+    key equals the least one gives an automorphism that maps the least leaf's
+    branch onto the current one where their paths part, so the search goes
+    back up to that node and on with its next child.  With a root the
     search starts from [[root], rest], which keeps the root first in every
     ordering: certificates of (g, a) and (h, b) are equal iff some isomorphism
     g -> h maps a to b.
@@ -262,7 +262,7 @@ def canonical_certificate(g: Graph, root: int | None = None) -> bytes:
 def _least_key(g: Graph, start) -> bytes:
     """graph6 line of the least adjacency key over the search tree that starts
     from the ordered partition start.  Pruning holds for any start, since every
-    automorphism the search uses maps each cell of start onto itself: a twin
+    automorphism a prune relies on maps each cell of start onto itself: a twin
     swap stays inside one cell, and a map between two leaf orders, both of
     which refine start, keeps each position.  Equal keys mean isomorphic
     graphs; a start built by an isomorphism invariant gives isomorphic graphs
@@ -270,28 +270,26 @@ def _least_key(g: Graph, start) -> bytes:
     if g.n > CERTIFICATE_MAX_ORDER:
         raise OrderTooLargeError(
             f"canonical certificate is limited to order {CERTIFICATE_MAX_ORDER}, got {g.n}; "
-            "refinement and the automorphisms its search finds do not keep the tree small "
+            "refinement, twin swaps and the backjumps of its search do not keep the tree small "
             "at every order"
         )
     neighbors = g.neighbors
     adj_sets = [set(a) for a in neighbors]
     closed = [tuple(sorted((*a, v))) for v, a in enumerate(neighbors)]
 
-    best = best_order = best_path = None  # the least key, and its leaf
-    autos = []  # automorphisms found, as lists: v -> autos[i][v]
+    best = best_path = None  # the least key, and the path to its leaf
     path = []  # the vertices individualised on the way to the current node
 
     def descend(partition):
         """Walk the subtree of the node that path leads to; return the length of
         the path whose node goes on with its next child."""
-        nonlocal best, best_order, best_path
+        nonlocal best, best_path
         partition = _refine(neighbors, partition)
         target = next((i for i, c in enumerate(partition) if len(c) > 1), None)
         if target is None:
-            order = [c[0] for c in partition]
-            key = _adjacency_key(adj_sets, order)
+            key = _adjacency_key(adj_sets, [c[0] for c in partition])
             if best is None or key < best:
-                best, best_order, best_path = key, order, path[:]
+                best, best_path = key, path[:]
             elif key == best:
                 # both orders give the same relabeled graph, so mapping one onto
                 # the other is an automorphism.  Each path vertex sits at its
@@ -299,26 +297,18 @@ def _least_key(g: Graph, start) -> bytes:
                 # two paths share and maps the best path's child at the node where
                 # they part onto this one's: this child's subtree repeats the
                 # keys of one already walked
-                perm = [0] * len(order)
-                for u, w in zip(best_order, order):
-                    perm[u] = w
-                autos.append(perm)
                 return next(i for i, (u, w) in enumerate(zip(best_path, path)) if u != w)
             return len(path)
         cell = partition[target]
         depth = len(path)
         tried_open, tried_closed = set(), set()
-        tried = []
         for v in cell:
             # twins u, v have N(u) - {v} = N(v) - {u}: swapping them is an
             # automorphism fixing every cell, so v's subtree repeats u's keys
             if neighbors[v] in tried_open or closed[v] in tried_closed:
                 continue
-            if autos and v in _orbit_union(tried, [a for a in autos if all(a[u] == u for u in path)]):
-                continue
             tried_open.add(neighbors[v])
             tried_closed.add(closed[v])
-            tried.append(v)
             rest = [w for w in cell if w != v]
             path.append(v)
             resume = descend(partition[:target] + [[v], rest] + partition[target + 1:])
@@ -329,17 +319,3 @@ def _least_key(g: Graph, start) -> bytes:
 
     descend(start)
     return _pack_graph6(g.n, best).encode("ascii")
-
-
-def _orbit_union(start, perms):
-    """The vertices that products of perms map some vertex of start onto."""
-    orbits = set(start)
-    stack = list(start)
-    while stack:
-        u = stack.pop()
-        for p in perms:
-            w = p[u]
-            if w not in orbits:
-                orbits.add(w)
-                stack.append(w)
-    return orbits

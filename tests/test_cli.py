@@ -203,6 +203,23 @@ class TestLabel:
         assert out == ""
         assert err.startswith("dmlab:")
 
+    @pytest.mark.parametrize("content,message", [
+        (None, "No such file"),
+        ("", "no graph6 line found"),
+    ])
+    def test_verify_unreadable_graph_exit_2(self, capsys, tmp_path, content, message):
+        graph_file = tmp_path / "g.g6"
+        if content is not None:
+            graph_file.write_text(content)
+        labels_file = tmp_path / "labels.json"
+        labels_file.write_text(labeling_to_json(wreath_labeling(3)))
+        code, out, err = run(
+            capsys, "label", "verify", "--graph", str(graph_file), "--labels", str(labels_file)
+        )
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err.startswith("dmlab:") and message in err
+
     def test_convert_roundtrip(self, capsys, tmp_path):
         lab = wreath_labeling(3)
         f = tmp_path / "c.json"

@@ -266,6 +266,11 @@ class TestErrors:
         with pytest.raises(EnumerationError):
             list(enumerate_regular(EnumerationTask(5, 3)))
 
+    @pytest.mark.parametrize("order,valency", [(0, 0), (6, -1)])
+    def test_bad_task(self, order, valency):
+        with pytest.raises(EnumerationError, match="bad task"):
+            list(enumerate_regular(EnumerationTask(order, valency)))
+
 
 class TestCensus:
     def test_orders_6_8_10(self, monkeypatch):

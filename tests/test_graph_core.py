@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dmlab.graph
 from conftest import QUARTIC_10, all_profiles, random_graph, relabel, to_nx
 from dmlab.enumerator import _root_cells, _vertex_invariant
 from dmlab.errors import Graph6Error, OrderTooLargeError
@@ -142,8 +143,8 @@ def _symmetric_graphs():
 
 # SHA-256 of canonical_certificate over _symmetric_graphs(), unrooted and
 # rooted at 0, recorded while the certificate cost about |Aut| leaves on them
-# (four 5-cycles alone took about 15 s); pruning by the automorphisms it finds
-# must not change a byte
+# (four 5-cycles alone took about 15 s); leaving a subtree on a leaf whose key
+# equals the least one must not change a byte
 SYMMETRIC_PIN_SHA256 = "777a71cdfe78c7a51d1624364e6313b57a214c08a72aef9ad319617fd8a1bc65"
 
 
@@ -161,6 +162,43 @@ def _rook(k):
     return Graph(k * k, [
         (k * a + b, k * c + d) for (a, b), (c, d) in itertools.combinations(cells, 2) if a == c or b == d
     ])
+
+
+def _paley(q):
+    """The Paley graph of prime order q = 1 (mod 4): u ~ v when v - u is a nonzero square."""
+    squares = {x * x % q for x in range(1, q)}
+    return Graph(q, [(u, v) for u, v in itertools.combinations(range(q), 2) if v - u in squares])
+
+
+def _clebsch():
+    """The folded 5-cube: 4-bit words adjacent at Hamming distance 1 or 4, srg(16, 5, 0, 2)."""
+    return Graph(16, [
+        (u, v) for u, v in itertools.combinations(range(16), 2) if bin(u ^ v).count("1") in (1, 4)
+    ])
+
+
+def _kneser(n, k):
+    """K(n, k): the k-subsets of 0..n-1, adjacent when disjoint."""
+    subsets = [set(c) for c in itertools.combinations(range(n), k)]
+    return Graph(len(subsets), [
+        (i, j) for i, j in itertools.combinations(range(len(subsets)), 2) if not subsets[i] & subsets[j]
+    ])
+
+
+def _leaf_budget(monkeypatch):
+    """A one-element list; each leaf of the certificate's search (one adjacency
+    key) spends one of budget[0], and the search fails once it is spent."""
+    budget = [0]
+    key = dmlab.graph._adjacency_key
+
+    def counted(adj_sets, order):
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise AssertionError("the certificate's search passed its leaf budget")
+        return key(adj_sets, order)
+
+    monkeypatch.setattr(dmlab.graph, "_adjacency_key", counted)
+    return budget
 
 
 def _digest(lines):
@@ -203,6 +241,16 @@ class TestGraph:
         g = Graph(4, [(0, 1), (1, 2)])
         assert g != Graph(5, [(0, 1), (1, 2)])
         assert g != Graph(4, [(0, 1), (1, 3)])
+
+    def test_rejects_order_0(self):
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            Graph(0, [])
+
+    def test_relabel_needs_a_permutation(self):
+        g = Graph(3, [(0, 1), (1, 2)])
+        for perm in ([0, 0, 1], [0, 1], [1, 2, 3]):
+            with pytest.raises(ValueError, match="not a permutation"):
+                g.relabel(perm)
 
     def test_has_edge_outside_vertex_range(self):
         g = build_wreath(3)
@@ -300,6 +348,11 @@ class TestGraph6:
         with pytest.raises(Graph6Error):
             parse_graph6("~??")
 
+    def test_rejects_long_form_header_char_out_of_range(self):
+        # '!' is below 63, so it is no 6-bit group of the order
+        with pytest.raises(Graph6Error, match="'!' out of range"):
+            parse_graph6("~?!?")
+
     def test_rejects_long_form_for_short_order(self):
         # order 6 must use the short form "E???"
         with pytest.raises(Graph6Error, match="short form"):
@@ -384,8 +437,9 @@ class TestCertificate:
 
     def test_k9_is_fast(self):
         # all vertices of K_n are twins, so the twin rule leaves its tree one
-        # leaf; without the rule the automorphism pruning still avoids the 9!
-        # leaves, at about 10x the cost (K20: 8 ms against 0.5 ms, 2-CPU machine)
+        # leaf; without the rule the backjump on equal keys still avoids the 9!
+        # leaves, at about 80x the cost (K20: 191 leaves and 38 ms against one
+        # leaf and 0.5 ms, 2-CPU machine)
         k9 = Graph(9, itertools.combinations(range(9), 2))
         start = time.perf_counter()
         cert = canonical_certificate(k9)
@@ -419,13 +473,43 @@ class TestCertificate:
             assert same == nx.is_isomorphic(to_nx(graphs[a]), to_nx(graphs[b]))
 
     def test_four_5_cycles_is_fast(self):
-        # |Aut| = 10^4 * 4! = 240,000 and no two vertices are twins; before the
-        # search pruned by the automorphisms it finds this took about 15 s
+        # |Aut| = 10^4 * 4! = 240,000 and no two vertices are twins; without the
+        # backjump on equal keys the search walks 240,000 leaves in about 15 s
         g = _cycles(4, 5)
         start = time.perf_counter()
         cert = canonical_certificate(g)
         assert time.perf_counter() - start < 1
         assert cert == canonical_certificate(relabel(g, 0))
+
+    def test_tree_size_bounded(self, monkeypatch):
+        # twin swaps and the backjump on equal keys keep these trees small.  K20
+        # (closed twins) and the edgeless graph (open twins) are one leaf each;
+        # the symmetric graphs take at most 51 leaves and the strongly regular
+        # ones 124 (rooted or not, relabeled or not).  Without the backjump four
+        # 5-cycles take 240,000 leaves
+        budget = _leaf_budget(monkeypatch)
+        for g in (Graph(20, itertools.combinations(range(20), 2)), Graph(20, [])):
+            for root in (None, 0):
+                budget[0] = 1
+                canonical_certificate(g, root)
+        for g in _symmetric_graphs():
+            for root in (None, 0):
+                budget[0] = 64
+                canonical_certificate(g, root)
+        # Shrikhande and the 4 x 4 rook's graph are both srg(16, 6, 2, 2), so
+        # refinement splits neither; Clebsch, Paley and Kneser graphs are
+        # vertex-transitive and refinement splits none of them either
+        graphs = [_shrikhande(), _rook(4), _clebsch(), _paley(13), _paley(17), _kneser(6, 2)]
+        certs = []
+        for g in graphs:
+            budget[0] = 256
+            certs.append(canonical_certificate(g))
+            for seed in range(3):
+                budget[0] = 256
+                assert canonical_certificate(relabel(g, seed)) == certs[-1]
+        for a, b in itertools.combinations(range(len(graphs)), 2):
+            same = certs[a] == certs[b]
+            assert same == nx.is_isomorphic(to_nx(graphs[a]), to_nx(graphs[b]))
 
     def test_order_bound(self):
         with pytest.raises(OrderTooLargeError):

@@ -93,6 +93,19 @@ class TestExpand:
                 return
         pytest.skip("no unbalanced 4-cycle in fixture")
 
+    def test_rejects_repeated_cycle_vertex(self):
+        g, lab = w3_setup()
+        with pytest.raises(ExpansionError, match="not distinct"):
+            expand(g, lab, ZeroAntipodal4Cycle((0, 1, 0, 1)))
+
+    def test_rejects_non_magic_labeling(self):
+        g, lab = w3_setup()
+        cycle = find_zero_antipodal_cycles(g, lab)[0]
+        bad = list(lab.labels)
+        bad[0], bad[1] = bad[1], bad[0]
+        with pytest.raises(ExpansionError, match="not distance magic"):
+            expand(g, CenteredLabeling(6, tuple(bad)), cycle)
+
     def test_rejects_non_tetravalent(self):
         from dmlab.graph import Graph
 
@@ -146,6 +159,15 @@ class TestExpandDefault:
         g, lab = w3_setup()
         expand_default(g, lab)
         assert seen == [6, 8]
+
+    def test_no_qualifying_cycle(self):
+        # W(4) is K_{4,4} on the even and the odd vertices.  An antipodal pair
+        # of a 4-cycle lies on one side, and neither side here holds two labels
+        # summing to zero; each side sums to zero, so the labeling is magic
+        g, lab = build_wreath(4), CenteredLabeling(8, (-7, -5, -1, -3, 3, 1, 5, 7))
+        assert verify(g, lab).ok
+        with pytest.raises(ExpansionError, match="no zero-antipodal 4-cycle"):
+            expand_default(g, lab)
 
     @pytest.mark.parametrize("labels,message", [
         ((3, 1, -3, -1), "expansion requires a tetravalent graph"),  # has a qualifying cycle

@@ -63,6 +63,10 @@ class TestVerify:
         with pytest.raises(OrderMismatchError):
             verify(build_wreath(3), wreath_labeling(4))
 
+    def test_label_count_must_match_order(self):
+        with pytest.raises(OrderMismatchError, match="2 labels for order 6"):
+            CenteredLabeling(6, (1, -1))
+
     @staticmethod
     def _reference(g, labels):
         """The report's fields from their definitions: weights summed over the
@@ -168,6 +172,10 @@ class TestWreathLabeling:
             lab = wreath_labeling(k)
             assert sorted(lab.labels) == list(centered_label_set(2 * k))
 
+    def test_needs_k_3(self):
+        with pytest.raises(DmlabError, match=">= 3"):
+            wreath_labeling(2)
+
 
 class TestBlockLabels:
     def test_constructed_qw3(self):
@@ -190,6 +198,10 @@ class TestBlockLabels:
             expected = tuple(labels[i] + labels[m + i] for i in range(m))
             assert block_labels(seq, CenteredLabeling(2 * m, labels)) == expected
 
+    def test_labeling_order_must_be_2m(self):
+        with pytest.raises(OrderMismatchError, match="2m = 6"):
+            block_labels(profile_to_sequence((3,)), wreath_labeling(4))
+
     def test_lemma_consecutive_blocks_after_rung(self):
         # after a zero bit, the next two block labels are never negatives
         for parts in [(3,), (3, 3), (7,), (5, 5), (3, 5, 5, 3)]:
@@ -207,6 +219,10 @@ class TestBlockRecurrence:
             seq = profile_to_sequence(parts)
             lab = construct_labeling(seq)
             assert check_block_recurrence(seq, block_labels(seq, lab))
+
+    def test_needs_one_label_per_block(self):
+        with pytest.raises(OrderMismatchError, match="2 block labels for m = 3"):
+            check_block_recurrence(profile_to_sequence((3,)), (1, -1))
 
     def test_holds_for_wreath_labeling_transported_to_qw3(self):
         import itertools

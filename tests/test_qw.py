@@ -56,6 +56,10 @@ class TestValidation:
         with pytest.raises(InvalidSequenceError):
             validate_sequence([0, 1, 1, 0])
 
+    def test_empty_profile_rejected(self):
+        with pytest.raises(InvalidSequenceError, match="at least one part"):
+            profile_to_sequence(())
+
     def test_profile_parts_below_two_rejected(self):
         with pytest.raises(InvalidSequenceError):
             profile_to_sequence((3, 1))
