@@ -1,4 +1,4 @@
-"""Complete isomorph-free generation of small connected regular graphs.
+"""Complete isomorph-free generation of small regular graphs, connected or not.
 
 Strategy: row-by-row edge completion over labeled graphs with three symmetry
 quotients baked in (vertex 0's neighborhood is fixed to {1..r}; vertices not
@@ -20,18 +20,18 @@ The first leaf of each class is thus found as with the canonical certificate,
 which enumerate_regular runs once per class and the census once per candidate.
 
 Nothing is lost.  Take any graph of the class and call a vertex of largest
-invariant (_vertex_invariant, unchanged by relabeling) 0, its neighbours
-1..r in any order.  Number the remaining vertices in the order in which rows
-1, 2, ... first reach them, a vertex that no row reaches numbering itself
-when its own row comes.  The quotients generate this labeled copy and keep
-it.  When row v begins, vertices 0..v-1 have degree r and fresh..n-1 have no
-edge, so the graphs a node leads to are the r-regular supergraphs of its
-partial graph on 0..fresh-1, up to renaming fresh..n-1, filtered by
-properties that only look at which vertex is 0.  Two partial graphs related
-by an isomorphism fixing 0 therefore lead to the same classes.  By induction
-on v from the last row down, every class that the walk without rejection
-or twin rule reaches from a node at row v is still yielded: a dropped node
-leads to the classes of the walked node it repeats.
+invariant (_vertex_invariant, unchanged by relabeling) 0, its neighbours 1..r
+in any order.  Number the remaining vertices in the order in which rows 1, 2,
+... first reach them, a vertex that no row reaches numbering itself when its
+own row comes: never in a connected graph, so a connected task stops there.
+The quotients generate and keep this copy.  When row v begins, vertices
+0..v-1 have degree r and fresh..n-1 have no edge, so the graphs a node leads
+to are the r-regular supergraphs of its partial graph on 0..fresh-1, up to
+renaming fresh..n-1, filtered by properties that only look at which vertex is
+0.  Two partial graphs related by an isomorphism fixing 0 thus lead to the
+same classes.  By induction on v from the last row down, every class that the
+walk without rejection or twin rule reaches from a node at row v is still
+yielded: a dropped node leads to the classes of the walked node it repeats.
 
 The prune drops only nodes below which no leaf is kept.  Rows 1..r-1 fix
 every edge among 0's neighbours 1..r, so from row r on 0's triangle count is
@@ -69,7 +69,6 @@ from .graph import (
     Graph,
     _least_key,
     canonical_certificate,
-    is_connected,
     is_regular,
     parse_graph6,
 )
@@ -97,8 +96,9 @@ def _canonical_form(g: Graph) -> Graph:
 def _classes(task: EnumerationTask) -> Iterator[Graph]:
     """Yield one r-regular graph per isomorphism class, as found, as the walk labeled it."""
     n, r = task.order, task.valency
-    if r < 0 or n < 1:
-        raise EnumerationError(f"bad task: order {n}, valency {r}")
+    # exact ints: bool is an int subclass, and a float order would reach range()
+    if type(n) is not int or type(r) is not int or r < 0 or n < 1:
+        raise EnumerationError(f"bad task: order {n!r}, valency {r!r}")
     if r >= n:
         raise EnumerationError(f"valency {r} must be below order {n}")
     if (n * r) % 2:
@@ -121,8 +121,6 @@ def _classes(task: EnumerationTask) -> Iterator[Graph]:
         if cells is None:
             return
         g = Graph._from_neighbors(tuple(tuple(sorted(a)) for a in adj))
-        if task.connected and not is_connected(g):
-            return
         key = _least_key(g, cells)
         if key not in seen:
             seen.add(key)
@@ -148,6 +146,8 @@ def _classes(task: EnumerationTask) -> Iterator[Graph]:
                 return  # an isomorphic partial graph, vertex 0 fixed, was walked at this row
             walked.add(key)
         if v == fresh:
+            if task.connected:
+                return  # 0..v-1 are full and reach no later vertex: a closed component
             fresh = v + 1  # vertex introduces itself; symmetry makes it the smallest
         near = adj[v]
         need = r - len(near)

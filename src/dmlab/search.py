@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
 from . import spectral
-from .errors import DmlabError, InvariantError, NotEvenRegularError, OddOrderError
+from .errors import DmlabError, InvariantError, NotEvenRegularError
 from .graph import Graph, is_connected
 from .labeling import CenteredLabeling, centered_label_set, verify
 from .qw import build_qw, profile_to_sequence
@@ -80,10 +80,12 @@ class SearchOptions:
             raise DmlabError(
                 f"unknown search mode {self.mode!r}; use {FIND_ONE!r} or {COUNT_ALL!r}"
             )
-        if self.node_budget is not None and self.node_budget < 0:
-            raise DmlabError(f"node budget must be >= 0, got {self.node_budget}")
-        if self.time_budget is not None and not 0 <= self.time_budget < math.inf:
-            raise DmlabError(f"time budget must be finite and >= 0, got {self.time_budget}")
+        # exact types: bool is an int subclass, and 2.5 nodes must not round
+        nodes, secs = self.node_budget, self.time_budget
+        if nodes is not None and (type(nodes) is not int or nodes < 0):
+            raise DmlabError(f"node budget must be an int >= 0, got {nodes!r}")
+        if secs is not None and (type(secs) not in (int, float) or not 0 <= secs < math.inf):
+            raise DmlabError(f"time budget must be a finite number >= 0, got {secs!r}")
 
 
 @dataclass(frozen=True)
@@ -103,10 +105,7 @@ def find_labeling(g: Graph, opts: Optional[SearchOptions] = None) -> SearchOutco
     opts = opts or SearchOptions()
     n = g.n
     r = spectral.require_even_regular(g)
-    if n % 2:
-        raise OddOrderError(
-            f"order {n} is odd; the centered label set needs an even order"
-        )
+    labels = centered_label_set(n)  # raises OddOrderError on an odd order
     if not is_connected(g):
         raise NotEvenRegularError("search requires a connected graph")
 
@@ -146,9 +145,9 @@ def find_labeling(g: Graph, opts: Optional[SearchOptions] = None) -> SearchOutco
                 above[v] = tuple(u for u in cls if u < v)
                 below[v] = tuple(u for u in cls if u > v)
     fold = next((k for k, v in enumerate(free) if not above[v] and not below[v]), None)
-    labels_desc = sorted(centered_label_set(n), key=lambda x: (-abs(x), -x))
+    labels_desc = sorted(labels, key=lambda x: (-abs(x), -x))
     assigned: list = [None] * n
-    remaining = sorted(labels_desc)  # ascending pool of unused labels
+    remaining = list(labels)  # ascending pool of unused labels
     in_pool = set(remaining)
     deadline = None if opts.time_budget is None else time.monotonic() + opts.time_budget
     first: Optional[CenteredLabeling] = None  # the only labeling kept

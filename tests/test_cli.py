@@ -266,6 +266,15 @@ class TestSearch:
         doc = json.loads(out)
         assert doc["count_raw"] == 2 * doc["count_folded"] > 0
 
+    def test_odd_order_exit_2(self, capsys, tmp_path):
+        # K5 is 4-regular; the centered label set names the odd order
+        graph_file = tmp_path / "k5.g6"
+        graph_file.write_text("D~{\n")
+        code, out, err = run(capsys, "search", "--graph", str(graph_file))
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err == "dmlab: centered label set needs even order, got 5\n"
+
     def test_several_graphs_in_file_exit_2(self, capsys, tmp_path):
         graph_file = tmp_path / "two.g6"
         graph_file.write_text(

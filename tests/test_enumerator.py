@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import re
 
 import networkx as nx
 import pytest
@@ -50,6 +51,14 @@ SORTED_ORDER_10_SHA256 = {
 UNSORTED_ORDER_SHA256 = {
     4: "3de0eaeac09b5ad3cb477275a6749f88794ea480955780c6184401e4b3afea32",
     3: "d7d05332034f8a69c343d248fd626393842764404f6c2e46ad165508c5964036",
+}
+
+# SHA-256 of `dmlab enumerate --order 10 --connected` stdout (with --valency 3
+# for the second), recorded while the leaf still tested connectivity; stopping
+# the connected walk where a component closes must not move a class
+UNSORTED_CONNECTED_ORDER_SHA256 = {
+    4: "38efd10df5ed1344f0b687d6d4815a50d78c583d9c57b9ffabf0a74e37014655",
+    3: "1980c5486c4d44f6b73a515c6c656600aa1eaf1c5661bdf49f344563e39f1d1b",
 }
 
 
@@ -171,6 +180,33 @@ class TestOutputProperties:
         digest = hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest()
         assert digest == UNSORTED_ORDER_SHA256[valency]
 
+    @pytest.mark.parametrize("valency", sorted(UNSORTED_CONNECTED_ORDER_SHA256))
+    def test_unsorted_connected_output_pinned(self, capsys, valency):
+        assert main(["enumerate", "--order", "10", "--valency", str(valency), "--connected"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest()
+        assert digest == UNSORTED_CONNECTED_ORDER_SHA256[valency]
+
+    @pytest.mark.parametrize("order,valency,classes", [(10, 4, 59), (8, 3, 5), (10, 3, 19)])
+    def test_connected_walk_reaches_no_disconnected_leaf(self, monkeypatch, order, valency, classes):
+        # a connected task stops at a row whose vertex no earlier row reached,
+        # so every labeled graph that reaches the leaf quotient is connected
+        root_cells = enumerator._root_cells
+
+        def connected_only(adj):
+            reached = {0}
+            stack = [0]
+            while stack:
+                for u in adj[stack.pop()] - reached:
+                    reached.add(u)
+                    stack.append(u)
+            assert len(reached) == len(adj), "disconnected leaf in a connected walk"
+            return root_cells(adj)
+
+        monkeypatch.setattr(enumerator, "_root_cells", connected_only)
+        graphs = list(enumerate_regular(EnumerationTask(order, valency, connected=True)))
+        assert len(graphs) == classes
+        assert all(is_connected(g) for g in graphs)
+
     def test_few_certificate_calls(self, monkeypatch):
         # the vertex-invariant quotient and the rejection of isomorphic partial
         # graphs leave few labeled leaves to certify: 87 at order 10 with the
@@ -198,8 +234,8 @@ class TestOutputProperties:
     def test_triangle_prune_cuts_rooted_calls(self, monkeypatch):
         # at rows r and r + 1 a partial graph with a vertex of more triangles
         # than vertex 0 is dropped before its rooted certificate: at order 10,
-        # 399 rooted certificates and 241 leaves reaching the vertex-invariant
-        # quotient, against 664 and 350 without the prune
+        # 399 rooted certificates and 240 leaves reaching the vertex-invariant
+        # quotient, against 664 and 349 without the prune
         calls = _count_certificates(monkeypatch)
         leaves = []
         root_cells = enumerator._root_cells
@@ -266,10 +302,19 @@ class TestErrors:
         with pytest.raises(EnumerationError):
             list(enumerate_regular(EnumerationTask(5, 3)))
 
-    @pytest.mark.parametrize("order,valency", [(0, 0), (6, -1)])
+    @pytest.mark.parametrize(
+        "order,valency", [(0, 0), (6, -1), (6.0, 4), ("6", 4), (6, 4.0), (True, 0), (6, True)]
+    )
     def test_bad_task(self, order, valency):
-        with pytest.raises(EnumerationError, match="bad task"):
+        # exact ints, as validate_sequence: a float or a string must not reach
+        # the walk, and True must not act as order 1
+        match = re.escape(f"bad task: order {order!r}, valency {valency!r}") + "$"
+        with pytest.raises(EnumerationError, match=match):
             list(enumerate_regular(EnumerationTask(order, valency)))
+
+    def test_census_rejects_a_float_order(self):
+        with pytest.raises(EnumerationError, match="bad task: order 6.0, valency 4$"):
+            census_pipeline([6.0])
 
 
 class TestCensus:

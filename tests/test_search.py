@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 
 import pytest
@@ -36,6 +37,15 @@ class TestFindLabeling:
 
     def test_k5_rejected_odd_order(self):
         with pytest.raises(OddOrderError):
+            find_labeling(K5)
+
+    def test_odd_order_rejected_before_elimination(self, monkeypatch):
+        # the label set decides the parity before the kernel is computed
+        def no_elimination(_):
+            raise AssertionError("kernel computed for an odd order")
+
+        monkeypatch.setattr(spectral, "nullspace_basis", no_elimination)
+        with pytest.raises(OddOrderError, match="centered label set needs even order, got 5"):
             find_labeling(K5)
 
     def test_c4_found(self):
@@ -89,6 +99,32 @@ class TestFindLabeling:
         short = find_labeling(g, SearchOptions(mode=mode, node_budget=nodes - 1))
         assert short.verdict == BUDGET_EXHAUSTED
         assert short.stats["nodes"] == nodes - 1
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"node_budget": 2.5},
+            {"node_budget": True},
+            {"node_budget": "3"},
+            {"node_budget": -1},
+            {"time_budget": "5"},
+            {"time_budget": True},
+            {"time_budget": -0.5},
+            {"time_budget": float("inf")},
+            {"time_budget": float("nan")},
+        ],
+        ids=repr,
+    )
+    def test_bad_budget_rejected(self, kwargs):
+        # exact types, as validate_sequence: a bool or a float node count must
+        # not act as a budget of 1 or of the rounded-up count
+        (value,) = kwargs.values()
+        with pytest.raises(DmlabError, match=f"budget must be .*, got {re.escape(repr(value))}$"):
+            SearchOptions(**kwargs)
+
+    def test_int_and_float_budgets_accepted(self):
+        assert SearchOptions(node_budget=0, time_budget=5).time_budget == 5
+        assert SearchOptions(time_budget=0.5).time_budget == 0.5
 
     def test_unknown_mode_rejected(self):
         # the search would otherwise walk the whole tree like count-all and report no count
