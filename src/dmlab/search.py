@@ -86,6 +86,8 @@ class SearchOptions:
             raise DmlabError(f"node budget must be an int >= 0, got {nodes!r}")
         if secs is not None and (type(secs) not in (int, float) or not 0 <= secs < math.inf):
             raise DmlabError(f"time budget must be a finite number >= 0, got {secs!r}")
+        if type(self.prefilter) is not bool:  # 'no' is truthy and would run the filter
+            raise DmlabError(f"prefilter must be a bool, got {self.prefilter!r}")
 
 
 @dataclass(frozen=True)

@@ -162,6 +162,21 @@ def pinned_equal_pair(vectors, n: int) -> Optional[Tuple[int, int]]:
     return min(second.items(), default=None)
 
 
+def near_twin_pair(g: Graph) -> Optional[Tuple[int, int]]:
+    """First vertex pair (u, w), u < w, of a regular graph of valency r whose
+    neighbour sets share exactly r - 1 vertices, adjacent or not (true twins
+    share r).  With N(u) = S + {x} and N(w) = S + {y}, a magic labeling would
+    need l(x) = l(y) (Miller, Rodger & Simanjuntak 2003): A(e_u - e_w) =
+    e_x - e_y pins x and y equal on the kernel, so the filter rules it out."""
+    sets = [set(nb) for nb in g.neighbors]
+    near = len(sets[0]) - 1
+    for u, nu in enumerate(sets):
+        for w in range(u + 1, g.n):
+            if len(nu & sets[w]) == near:
+                return u, w
+    return None
+
+
 def corollary_filter(g: Graph) -> FilterVerdict:
     """Rule out graphs whose adjacency kernel cannot contain a centered
     labeling: trivial kernel, or some coordinate pair pinned equal on the

@@ -451,6 +451,14 @@ class TestCensus:
         assert out == ""
         assert err.startswith("dmlab: valency 3 is odd")
 
+    def test_odd_valency_ends_the_census_before_the_screen(self, capsys):
+        # every pair of K4 shares r - 1 = 2 neighbours, so the near-twin screen
+        # alone would skip the filter and its parity check; the census checks
+        # the valency first
+        code, out, err = run(capsys, "census", "--orders", "4", "--valency", "3")
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err.startswith("dmlab: valency 3 is odd")
+
 
 class TestExpand:
     def test_default_cycle(self, capsys, tmp_path):

@@ -312,6 +312,14 @@ class TestErrors:
         with pytest.raises(EnumerationError, match=match):
             list(enumerate_regular(EnumerationTask(order, valency)))
 
+    @pytest.mark.parametrize("connected", ["no", 0, 1, None], ids=repr)
+    def test_non_bool_connected_rejected(self, connected):
+        # 'no' is truthy: taken as it is, it walked connected (59 classes at
+        # order 10 where connected=False gives 60)
+        match = re.escape(f"connected must be a bool, got {connected!r}") + "$"
+        with pytest.raises(EnumerationError, match=match):
+            list(enumerate_regular(EnumerationTask(10, 4, connected=connected)))
+
     def test_census_rejects_a_float_order(self):
         with pytest.raises(EnumerationError, match="bad task: order 6.0, valency 4$"):
             census_pipeline([6.0])
@@ -369,20 +377,60 @@ class TestCensus:
         import dmlab.spectral as spectral
 
         events = []
-        classes, filter_one = enumerator._classes, spectral.corollary_filter
+        classes = enumerator._classes
+        screen, filter_one = spectral.near_twin_pair, spectral.corollary_filter
 
         def logged_classes(task):
             for g in classes(task):
                 events.append("yield")
                 yield g
 
+        def logged_screen(g):
+            pair = screen(g)
+            events.append("passed" if pair is None else "screened")
+            return pair
+
         def logged_filter(g):
             events.append("filter")
             return filter_one(g)
 
         monkeypatch.setattr(enumerator, "_classes", logged_classes)
+        monkeypatch.setattr(spectral, "near_twin_pair", logged_screen)
         monkeypatch.setattr(spectral, "corollary_filter", logged_filter)
         (row,) = census_pipeline([8])
         assert (row.total, len(row.candidates), row.dm_confirmed) == (6, 1, 1)
-        # graph k is filtered before graph k + 1 is enumerated
-        assert events == ["yield", "filter"] * 6
+        # class k is decided, by the screen or by the filter, before class
+        # k + 1 is enumerated: each yield is followed by its whole decision
+        assert events[0] == "yield"
+        decisions = []
+        for event in events:
+            if event == "yield":
+                decisions.append(())
+            else:
+                decisions[-1] += (event,)
+        assert sorted(decisions) == [("passed", "filter")] * 3 + [("screened",)] * 3
+
+    def test_near_twin_classes_skip_the_filter(self, monkeypatch):
+        import dmlab.spectral as spectral
+
+        filtered = []
+        filter_one = spectral.corollary_filter
+
+        def counted_filter(g):
+            filtered.append(g.n)
+            return filter_one(g)
+
+        monkeypatch.setattr(spectral, "corollary_filter", counted_filter)
+        rows = census_pipeline([6, 8, 10])
+        assert [(r.total, len(r.candidates)) for r in rows] == [(1, 1), (6, 1), (59, 1)]
+        assert [filtered.count(n) for n in (6, 8, 10)] == [1, 3, 9]
+        # the survivors are the classes in which no two neighbour sets differ
+        # in exactly one vertex each
+        survivors = [
+            sum(
+                all(len(set(a) ^ set(b)) != 2 for a, b in itertools.combinations(g.neighbors, 2))
+                for g in enumerator._classes(EnumerationTask(n))
+            )
+            for n in (6, 8, 10)
+        ]
+        assert survivors == [1, 3, 9]

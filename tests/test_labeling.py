@@ -255,6 +255,28 @@ class TestBlockRecurrence:
         assert bl[4] != -2 * bl[2] - bl[3]
         assert not check_block_recurrence(seq, bl)
 
+    # The block labels of a distance magic labeling of (3, 3) are (a, -a, 0,
+    # a, -a, 0): every (0, 1) row has l_i + l_{i+1} = 0 and every (1, 0) row
+    # l_i = 0, where a sign error in either case changes nothing.  The
+    # hand-made tuples below keep the other rows and meet the mis-signed case.
+
+    def test_second_case_sign(self):
+        seq = profile_to_sequence((3, 3))  # 011011: (0, 1) rows i = 0, 3
+        bl = (3, 1, 2, -1, -3, -2)
+        assert bl[3] == -bl[1] and bl[0] == -bl[4]  # the (1, 1) rows i = 1, 4
+        assert bl[4] == -2 * bl[2] - bl[3] and bl[1] == -2 * bl[5] - bl[0]  # (1, 0)
+        assert 2 * bl[2] == bl[0] + bl[1] != 0 and 2 * bl[5] == bl[3] + bl[4]
+        assert not check_block_recurrence(seq, bl)
+
+    def test_third_case_sign(self):
+        seq = profile_to_sequence((3, 3))  # 011011: (1, 0) rows i = 2, 5
+        bl = (3, 1, -2, -1, -3, 2)
+        assert bl[3] == -bl[1] and bl[0] == -bl[4]  # the (1, 1) rows i = 1, 4
+        assert 2 * bl[2] == -(bl[0] + bl[1]) and 2 * bl[5] == -(bl[3] + bl[4])  # (0, 1)
+        assert bl[4] == 2 * bl[2] - bl[3] and bl[1] == 2 * bl[5] - bl[0]
+        assert bl[2] != 0
+        assert not check_block_recurrence(seq, bl)
+
     @pytest.mark.parametrize("parts", [(3,), (3, 3), (5, 3, 5)])
     def test_every_single_block_change_is_caught(self, parts):
         # Equation i = k - 2 (mod m) reads l_k as l_{i+2} with coefficient 1 or

@@ -9,8 +9,8 @@ run itself.  A control run of the unmutated copy over every named test must
 pass, so a kill is the mutant's doing and not the copy's.
 
 Rules still without a mutant here: the enumerator's `walked` rejection and
-twin rule, whose mutants only cost time, cases 2 and 3 of the block
-recurrence, and the kfk result check, which is equivalent by construction.
+twin rule, whose mutants only cost time, and the kfk result check, which is
+equivalent by construction.
 """
 
 import os
@@ -64,6 +64,18 @@ MUTANTS = {
         "pass",
         ["tests/test_spectral.py"],
     ),
+    "near-twin-counts-true-twins": (
+        "spectral.py",
+        "near = len(sets[0]) - 1",
+        "near = len(sets[0])",
+        ["tests/test_spectral.py::TestNearTwinPair", "tests/test_enumerator.py::TestCensus"],
+    ),
+    "near-twin-counts-r-minus-2": (
+        "spectral.py",
+        "near = len(sets[0]) - 1",
+        "near = len(sets[0]) - 2",
+        ["tests/test_spectral.py::TestNearTwinPair", "tests/test_enumerator.py::TestCensus"],
+    ),
     "verify-skips-last-vertex": (
         "labeling.py",
         "for nb in g.neighbors:",
@@ -81,6 +93,18 @@ MUTANTS = {
         "if nxt != -li:",
         "if nxt != li:",
         ["tests/test_labeling.py"],
+    ),
+    "recurrence-case-2-sign": (
+        "labeling.py",
+        "if 2 * nxt != -(li + lj):",
+        "if 2 * nxt != (li + lj):",
+        ["tests/test_labeling.py::TestBlockRecurrence"],
+    ),
+    "recurrence-case-3-sign": (
+        "labeling.py",
+        "if nxt != -2 * li - lj:",
+        "if nxt != 2 * li - lj:",
+        ["tests/test_labeling.py::TestBlockRecurrence"],
     ),
     "kfk-cycle-difference": (
         "kfk.py",

@@ -131,6 +131,12 @@ class TestFindLabeling:
         with pytest.raises(DmlabError, match="bogus"):
             SearchOptions(mode="bogus")
 
+    @pytest.mark.parametrize("value", ["no", 0, 1, None], ids=repr)
+    def test_non_bool_prefilter_rejected(self, value):
+        # 'no' is truthy: taken as it is, it ran the prefilter
+        with pytest.raises(DmlabError, match=f"prefilter must be a bool, got {re.escape(repr(value))}$"):
+            SearchOptions(prefilter=value)
+
     def test_prefilter_agrees(self):
         for parts in [(3,), (4,), (2, 2), (3, 3)]:
             g = build_qw(profile_to_sequence(parts))

@@ -6,13 +6,15 @@ import pytest
 
 from conftest import QUARTIC_10, all_profiles, random_graph, recombine, relabel
 from dmlab.errors import DmlabError, NotEvenRegularError
-from dmlab.graph import Graph, parse_graph6
+from dmlab.enumerator import EnumerationTask, _classes
+from dmlab.graph import Graph, parse_graph6, write_graph6
 from dmlab.labeling import CenteredLabeling, verify, wreath_labeling
 from dmlab import spectral
 from dmlab.qw import build_qw, build_wreath, classify, profile_to_sequence
 from dmlab.spectral import (
     adjacency_matrix,
     corollary_filter,
+    near_twin_pair,
     nullspace_basis,
     pinned_equal_pair,
 )
@@ -481,3 +483,62 @@ class TestPinnedEqualPair:
             values = [Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(3)]
             vs = [[rng.choice(values) for _ in range(n)] for _ in range(d)]
             assert pinned_equal_pair(vs, n) == pinned_pair_reference(vs, n), (n, vs)
+
+
+def near_twin_witness(g, u, w):
+    """(x, y) when one integer sparse product gives A(e_u - e_w) = e_x - e_y
+    with x != y, else None."""
+    y = {}
+    for v in g.neighbors[u]:
+        y[v] = y.get(v, 0) + 1
+    for v in g.neighbors[w]:
+        y[v] = y.get(v, 0) - 1
+    support = {v: c for v, c in y.items() if c}
+    if sorted(support.values()) != [-1, 1]:
+        return None
+    return next(v for v, c in support.items() if c == 1), next(v for v, c in support.items() if c == -1)
+
+
+def first_witnessed_pair(g):
+    """The definition, by the witness: the least (u, w), u < w, with one."""
+    for u in range(g.n):
+        for w in range(u + 1, g.n):
+            if near_twin_witness(g, u, w):
+                return u, w
+    return None
+
+
+class TestNearTwinPair:
+    """Two vertices whose neighbour sets share all but one vertex rule a
+    regular graph out; the census skips the kernel filter for them."""
+
+    def test_small_graphs(self):
+        triangle = Graph(3, [(0, 1), (1, 2), (2, 0)])
+        c5 = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
+        assert near_twin_pair(triangle) == (0, 1)  # adjacent: x = 1, y = 0
+        assert near_twin_pair(c5) == (0, 2)  # N(0) = {1, 4}, N(2) = {1, 3}
+        assert near_twin_pair(K5) == (0, 1)
+        # true twins share all r neighbours and do not count
+        assert near_twin_pair(C4) is None
+        assert all(near_twin_pair(build_wreath(k)) is None for k in range(3, 9))
+
+    def test_flagged_graphs_are_ruled_out_with_a_witness(self):
+        # every class of orders 5-11 at valency 4, connected or not, and
+        # seeded random regular graphs of valency 2, 4 and 6
+        graphs = [g for n in range(5, 12) for g in _classes(EnumerationTask(n, 4, connected=False))]
+        assert len(graphs) == 1 + 1 + 2 + 6 + 16 + 60 + 266
+        for r in (2, 4, 6):
+            for seed in range(30):
+                h = nx.random_regular_graph(r, 8 + seed % 15, seed=seed)
+                graphs.append(Graph(h.number_of_nodes(), h.edges()))
+        flagged = 0
+        for g in graphs:
+            pair = near_twin_pair(g)
+            assert pair == first_witnessed_pair(g), write_graph6(g)
+            if pair is not None:
+                flagged += 1
+                x, y = near_twin_witness(g, *pair)
+                assert x != y
+                assert not corollary_filter(g).candidate, write_graph6(g)
+        # the screen fires on most graphs but not on all
+        assert 0.5 * len(graphs) < flagged < len(graphs)
