@@ -21,7 +21,7 @@ from typing import Optional
 from . import constructive, dot, kfk, labeling, qw, search, spectral
 from .enumerator import EnumerationTask, census_pipeline, enumerate_regular
 from .errors import DmlabError
-from .graph import Graph, parse_graph6, write_graph6
+from .graph import Graph, parse_graph6, require_graph6_order, write_graph6
 from .labeling import SCHEMA
 
 EXIT_OK = 0
@@ -30,13 +30,15 @@ EXIT_ERROR = 2
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise DmlabError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise DmlabError(f"{'stdin' if path == '-' else path}: {exc}") from None
 
 
 def _read_graph(path: str) -> Graph:
@@ -54,13 +56,21 @@ def _read_labeling(path: str):
     return (labeling.from_standard(lab) if lab.scheme == "standard" else lab), lab.scheme
 
 
-def _sequence_from_args(args) -> qw.QWSequence:
+def _sequence_from_args(args, graph6: bool = False) -> qw.QWSequence:
+    """The sequence of --profile or --sequence.  With graph6, an order 2m
+    above the graph6 limit is refused before a profile is expanded."""
     if args.profile is not None:
-        return qw.profile_to_sequence(qw.parse_profile(args.profile))
+        parts = qw.parse_profile(args.profile)
+        if graph6 and min(parts) >= 2:  # a smaller part keeps profile_to_sequence's error
+            require_graph6_order(2 * sum(parts))
+        return qw.profile_to_sequence(parts)
     bits = args.sequence.replace(",", "")
     if set(bits) - {"0", "1"}:
         raise DmlabError(f"malformed sequence {args.sequence!r}: entries must be 0 or 1")
-    return qw.validate_sequence([int(ch) for ch in bits])
+    seq = qw.validate_sequence([int(ch) for ch in bits])
+    if graph6:
+        require_graph6_order(2 * seq.m)
+    return seq
 
 
 def _emit(doc: dict):
@@ -70,7 +80,7 @@ def _emit(doc: dict):
 # --- subcommand handlers ----------------------------------------------------
 
 def _cmd_qw_build(args) -> int:
-    seq = _sequence_from_args(args)
+    seq = _sequence_from_args(args, graph6=True)
     print(write_graph6(qw.build_qw(seq)))
     return EXIT_OK
 

@@ -169,10 +169,15 @@ def _parse_long_order(text: str) -> int:
     return n
 
 
+def require_graph6_order(n: int) -> None:
+    """Graph6Error when graph6 cannot encode order n."""
+    if n > GRAPH6_MAX_ORDER:
+        raise Graph6Error(f"order {n} exceeds the graph6 limit of {GRAPH6_MAX_ORDER}")
+
+
 def write_graph6(g: Graph) -> str:
     """Encode as a canonical graph6 line: short form up to order 62, long form above."""
-    if g.n > GRAPH6_MAX_ORDER:
-        raise Graph6Error(f"order {g.n} exceeds the graph6 limit of {GRAPH6_MAX_ORDER}")
+    require_graph6_order(g.n)
     adj = [set(a) for a in g.neighbors]
     return _pack_graph6(g.n, (i in adj[j] for j in range(1, g.n) for i in range(j)))
 

@@ -74,6 +74,30 @@ class TestQw:
         assert out == ""
         assert err.startswith("dmlab: malformed sequence '01a1'")
 
+    @pytest.mark.parametrize("argv,order", [
+        (("--profile", "3,3000000"), 6000006),
+        (("--profile", "129024"), 258048),
+        (("--sequence", "0" + "1" * 129023), 258048),
+    ])
+    def test_build_refuses_order_above_graph6_limit_before_building(
+        self, capsys, monkeypatch, argv, order
+    ):
+        def never(*args):
+            raise AssertionError("the graph must not be built")
+
+        monkeypatch.setattr(dmlab.qw, "build_qw", never)
+        if argv[0] == "--profile":
+            monkeypatch.setattr(dmlab.qw, "profile_to_sequence", never)
+        code, out, err = run(capsys, "qw", "build", *argv)
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err == f"dmlab: order {order} exceeds the graph6 limit of 258047\n"
+
+    def test_build_invalid_part_reported_before_order(self, capsys):
+        code, _, err = run(capsys, "qw", "build", "--profile", "3000000,1")
+        assert code == EXIT_ERROR
+        assert err == "dmlab: profile parts must be integers >= 2, got 1\n"
+
 
 class TestLabel:
     def test_construct_verify_pipeline(self, capsys, tmp_path):
@@ -219,6 +243,18 @@ class TestLabel:
         assert code == EXIT_ERROR
         assert out == ""
         assert err.startswith("dmlab:") and message in err
+
+    def test_verify_non_utf8_graph_exit_2(self, capsys, tmp_path):
+        graph_file = tmp_path / "g.g6"
+        graph_file.write_bytes(b"\xff\xfe\n")
+        labels_file = tmp_path / "labels.json"
+        labels_file.write_text(labeling_to_json(wreath_labeling(3)))
+        code, out, err = run(
+            capsys, "label", "verify", "--graph", str(graph_file), "--labels", str(labels_file)
+        )
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err.startswith(f"dmlab: {graph_file}: 'utf-8' codec can't decode byte 0xff")
 
     def test_convert_roundtrip(self, capsys, tmp_path):
         lab = wreath_labeling(3)
@@ -372,6 +408,14 @@ class TestFilter:
         assert code == EXIT_ERROR
         assert out == ""
         assert err.startswith("dmlab: line 1: valency 3 is odd")
+
+    def test_non_utf8_stdin_exit_2(self, capsys, monkeypatch):
+        stdin = io.TextIOWrapper(io.BytesIO(b"\xff\n"), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        code, out, err = run(capsys, "filter")
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err.startswith("dmlab: stdin: 'utf-8' codec can't decode byte 0xff")
 
     def test_all_ruled_out_still_exits_0(self, capsys, tmp_path):
         # RuledOut is a row verdict, not a negative exit code

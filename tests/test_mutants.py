@@ -64,6 +64,18 @@ MUTANTS = {
         "pass",
         ["tests/test_spectral.py"],
     ),
+    "kernel-vector-sign": (
+        "spectral.py",
+        "v[pc] = -mat[r][fc]",
+        "v[pc] = mat[r][fc]",
+        ["tests/test_spectral.py::TestAgainstDenseElimination"],
+    ),
+    "inexact-pivot-division-floors": (
+        "spectral.py",
+        "row[j] = Fraction(a, lead) if rest else q",
+        "row[j] = q",
+        ["tests/test_spectral.py::TestAgainstDenseElimination"],
+    ),
     "near-twin-counts-true-twins": (
         "spectral.py",
         "near = len(sets[0]) - 1",

@@ -181,15 +181,21 @@ NON_UNIT_FIRST = [
 ]
 
 
+def is_int_first(x):
+    """An int where x is integral, else a Fraction that is not."""
+    return type(x) is int if x.denominator == 1 else type(x) is Fraction
+
+
 class TestAgainstDenseElimination:
     """The sparse row updates on unit pivots give the basis of the dense
     elimination on first nonzero pivots entry for entry, so the search keeps
-    its free coordinates and printed labelings."""
+    its free coordinates and printed labelings.  Each entry is an int where
+    it is integral and a Fraction elsewhere."""
 
     def check(self, rows):
         basis = nullspace_basis(rows)
         assert (basis.vectors, basis.pivot_columns) == reference_basis(rows)
-        assert all(type(x) is Fraction for v in basis.vectors for x in v)
+        assert all(is_int_first(x) for v in basis.vectors for x in v)
         return basis
 
     def test_connected_quartic_order_10(self):
@@ -301,16 +307,34 @@ class TestIntArithmetic:
             spectral._rref(mat, len(mat[0]))
             assert all(type(x) is int for row in mat for x in row if x.denominator == 1), rows
 
+    def test_kernel_vectors_hold_ints(self):
+        # every division of these eliminations is exact
+        graphs = [build_qw(profile_to_sequence(p)) for p in all_profiles(12)]
+        graphs += [parse_graph6(s) for s in QUARTIC_10]
+        graphs += list(_classes(EnumerationTask(10, 4, connected=False)))
+        assert len(graphs) == 231 + 59 + 60
+        for g in graphs:
+            vectors = nullspace_basis(adjacency_matrix(g)).vectors
+            assert all(type(x) is int for v in vectors for x in v), write_graph6(g)
+
+    def test_inexact_division_gives_fractions(self):
+        # the order-12 quartic graph of TestCountMode::test_non_integral_basis_pinned
+        (v,) = nullspace_basis(adjacency_matrix(parse_graph6("K?Chqj@wKw[O"))).vectors
+        third = Fraction(1, 3)
+        assert v == (third, third, -third, -third, -third, third, -third, third, -third, -1, third, 1)
+        assert [type(x) for x in v] == [Fraction] * 9 + [int, Fraction, int]
+
 
 class TestNullspaceInput:
     def test_int_rows_give_an_exact_basis(self):
         for rows, vector in [
             (((1, 2), (2, 4)), (-2, 1)),
             (((3, 1, 0), (0, 2, 1)), (Fraction(1, 6), Fraction(-1, 2), 1)),
+            (((Fraction(1, 2), Fraction(3, 2)),), (-3, 1)),
         ]:
             (v,) = nullspace_basis(rows).vectors
             assert v == vector
-            assert all(type(x) is Fraction for x in v)
+            assert [type(x) for x in v] == [type(x) for x in vector]
 
     @pytest.mark.parametrize("entry", [0.5, 1.0, complex(1, 0), "1", None])
     def test_non_rational_entry_rejected(self, entry):
@@ -482,6 +506,23 @@ class TestPinnedEqualPair:
             # few distinct values, so that columns coincide often
             values = [Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(3)]
             vs = [[rng.choice(values) for _ in range(n)] for _ in range(d)]
+            assert pinned_equal_pair(vs, n) == pinned_pair_reference(vs, n), (n, vs)
+
+    def test_int_and_integral_fraction_columns_group(self):
+        # an int hashes and compares equal to the Fraction of the same value
+        vs = [(3, Fraction(1, 2), Fraction(3)), (-2, 1, Fraction(-2, 1))]
+        assert pinned_equal_pair(vs, 3) == (0, 2) == pinned_pair_reference(vs, 3)
+
+    def test_random_mixed_bases(self):
+        # each integral entry is an int or an equal Fraction at random
+        rng = random.Random(11)
+        for _ in range(200):
+            n, d = rng.randint(1, 12), rng.randint(1, 4)
+            values = [rng.randint(-2, 2) for _ in range(3)] + [Fraction(1, 2)]
+            vs = [
+                [x if rng.random() < 0.5 else Fraction(x) for x in rng.choices(values, k=n)]
+                for _ in range(d)
+            ]
             assert pinned_equal_pair(vs, n) == pinned_pair_reference(vs, n), (n, vs)
 
 
