@@ -70,9 +70,10 @@ class Graph:
         return 0 <= u < self.n and v in self.neighbors[u]
 
     def relabel(self, perm: Iterable[int]) -> "Graph":
-        """New graph with vertex v renamed to perm[v]."""
+        """New graph with vertex v renamed to perm[v]; perm holds exact ints."""
         p = list(perm)
-        if sorted(p) != list(range(self.n)):
+        # a bool or a float equal to a vertex would pass the sort test
+        if any(type(x) is not int for x in p) or sorted(p) != list(range(self.n)):
             raise ValueError("perm is not a permutation of 0..n-1")
         return Graph(self.n, ((p[u], p[v]) for u, v in self.edges))
 

@@ -3,6 +3,7 @@ import itertools
 import random
 import time
 import tracemalloc
+from fractions import Fraction
 
 import networkx as nx
 import pytest
@@ -251,6 +252,13 @@ class TestGraph:
         for perm in ([0, 0, 1], [0, 1], [1, 2, 3]):
             with pytest.raises(ValueError, match="not a permutation"):
                 g.relabel(perm)
+
+    @pytest.mark.parametrize("perm", [[True, 0, 2], [0, False, 2], [2.0, 0, 1], [Fraction(1), 0, 2]])
+    def test_relabel_needs_exact_ints(self, perm):
+        # each of these sorts equal to 0..2, but a bool would end up in the
+        # neighbour tuples and a float would fail as a list index
+        with pytest.raises(ValueError, match="not a permutation"):
+            Graph(3, [(0, 1), (1, 2)]).relabel(perm)
 
     def test_has_edge_outside_vertex_range(self):
         g = build_wreath(3)

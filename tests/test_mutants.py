@@ -8,8 +8,9 @@ writes nothing to the repository.  A mutant is killed when pytest exits 1
 run itself.  A control run of the unmutated copy over every named test must
 pass, so a kill is the mutant's doing and not the copy's.
 
-Rules still without a mutant here: the enumerator's `walked` rejection and
-twin rule, whose mutants only cost time, and the kfk result check, which is
+The enumerator's `walked` rejection and twin rule only save work, so their
+mutants are killed by the certificate-call pins of tests/test_enumerator.py.
+The one rule still without a mutant here is the kfk result check, which is
 equivalent by construction.
 """
 
@@ -51,6 +52,24 @@ MUTANTS = {
         "return  # 0..v-1 are full and reach no later vertex",
         "pass  # 0..v-1 are full and reach no later vertex",
         ["tests/test_enumerator.py::TestCounts"],
+    ),
+    "walked-rejection-never-fires": (
+        "enumerator.py",
+        "if key in walked:",
+        "if False:",
+        ["tests/test_enumerator.py::TestOutputProperties::test_few_certificate_calls"],
+    ),
+    "twin-rule-never-skips": (
+        "enumerator.py",
+        "continue  # a twin permutation maps old onto an earlier choice",
+        "pass  # a twin permutation maps old onto an earlier choice",
+        ["tests/test_enumerator.py::TestOutputProperties::test_twin_rule_cuts_certificate_calls"],
+    ),
+    "band-pair-mapped-by-vertex": (
+        "spectral.py",
+        "g.n, position)",
+        "g.n, order)",
+        ["tests/test_spectral.py::TestBandOrder"],
     ),
     "trivial-kernel-passes": (
         "spectral.py",

@@ -426,6 +426,46 @@ class TestFilter:
                 assert verdict(relabel(g, 1000 * i + seed)) == base
 
 
+def two_copies(g: Graph) -> Graph:
+    """The disjoint union of g with itself, the copy on vertices n..2n-1."""
+    return Graph(2 * g.n, [*g.edges, *((u + g.n, v + g.n) for u, v in g.edges)])
+
+
+class TestBandOrder:
+    """corollary_filter eliminates in breadth-first band order; its verdict
+    and its reason are those of the natural-order definition."""
+
+    def test_order_is_a_permutation_covering_every_component(self):
+        g = two_copies(build_wreath(4))  # vertices 0..7 and 8..15
+        order = spectral._band_order(g)
+        assert sorted(order) == list(range(16))
+        assert order[0] == 0 and sorted(order[:8]) == list(range(8)) and order[8] == 8
+        # breadth first, neighbours in ascending order
+        assert spectral._band_order(Graph(5, [(0, 3), (0, 2), (2, 4), (1, 3)])) == [0, 2, 3, 4, 1]
+
+    def test_reason_equals_natural_order_definition(self):
+        graphs = [parse_graph6(s) for s in QUARTIC_10]
+        graphs += [build_qw(profile_to_sequence(p)) for p in all_profiles(12)]
+        graphs += [relabel(g, 1000 * i + seed) for i, g in enumerate(graphs) for seed in range(3)]
+        for seed in range(40):
+            h = nx.random_regular_graph(4, 11 + seed % 10, seed=seed)
+            if nx.is_connected(h):
+                graphs.append(Graph(h.number_of_nodes(), h.edges()))
+        twice = two_copies(build_qw(profile_to_sequence((3, 5, 4))))
+        graphs += [twice, relabel(twice, 7)]
+        assert len(graphs) >= 4 * (59 + 231) + 30 + 2
+        reasons = []
+        for g in graphs:
+            got = corollary_filter(g)
+            assert got == spectral.basis_verdict(nullspace_basis(adjacency_matrix(g)), g.n), write_graph6(g)
+            reasons.append(got.reason)
+        # candidates, trivial kernels and pinned pairs other than (0, 1)
+        pairs = {r for r in reasons if r and r.startswith("coordinates")}
+        assert None in reasons and "trivial nullspace" in reasons and len(pairs) > 10
+        # the band order renames the vertices of most of these graphs
+        assert sum(spectral._band_order(g) != list(range(g.n)) for g in graphs) > len(graphs) // 2
+
+
 class TestFilterMatchesClassifier:
     """On quasi wreath graphs the kernel filter's verdict equals the
     classifier's.  With construct + verify on the distance magic side, this
@@ -444,6 +484,16 @@ class TestFilterMatchesClassifier:
             assert corollary_filter(build_qw(seq)).candidate == dm, p
             seen.append(dm)
         assert (len(seen), sum(seen)) == (profiles, magic)
+
+    @pytest.mark.parametrize(
+        "profile,magic",
+        [((7, 5) * 20, True), ((5, 5, 4) * 12, False), ((3, 5, 3, 5, 7) * 10, True), ((9,) * 30, True)],
+    )
+    def test_hundreds_of_vertices(self, profile, magic):
+        # n = 480, 336, 460 and 540: the band order keeps each in Tier-1
+        seq = profile_to_sequence(profile)
+        assert classify(seq).distance_magic == magic
+        assert corollary_filter(build_qw(seq)).candidate == magic
 
 
 class TestLemmaEv:
