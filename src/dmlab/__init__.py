@@ -48,11 +48,6 @@ from .qw import (
     validate_sequence,
 )
 from .search import SearchOptions, SearchOutcome, decide_profile, find_labeling
-from .spectral import (
-    NullspaceBasis,
-    adjacency_matrix,
-    corollary_filter,
-    nullspace_basis,
-)
+from .spectral import NullspaceBasis, corollary_filter, nullspace_basis
 
 __version__ = "0.1.0"

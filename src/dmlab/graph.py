@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from typing import Iterable, Tuple
+from typing import Iterable, List, Tuple
 
 from .errors import Graph6Error, OrderTooLargeError
 
@@ -36,6 +36,9 @@ class Graph:
             raise ValueError(f"graph order must be >= 1, got {n}")
         nbrs = [set() for _ in range(n)]
         for u, v in edges:
+            # a bool would end up in the neighbour tuples; a float fails as an index
+            if type(u) is not int or type(v) is not int:
+                raise ValueError(f"edge ({u!r},{v!r}) has an endpoint that is not an int")
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
@@ -71,10 +74,7 @@ class Graph:
 
     def relabel(self, perm: Iterable[int]) -> "Graph":
         """New graph with vertex v renamed to perm[v]; perm holds exact ints."""
-        p = list(perm)
-        # a bool or a float equal to a vertex would pass the sort test
-        if any(type(x) is not int for x in p) or sorted(p) != list(range(self.n)):
-            raise ValueError("perm is not a permutation of 0..n-1")
+        p = _permutation(perm, self.n, "perm")
         return Graph(self.n, ((p[u], p[v]) for u, v in self.edges))
 
     def __eq__(self, other):
@@ -85,6 +85,15 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={sum(map(len, self.neighbors)) // 2})"
+
+
+def _permutation(perm: Iterable[int], n: int, name: str) -> List[int]:
+    """perm as a list; ValueError unless it is a permutation of 0..n-1 in exact ints."""
+    p = list(perm)
+    # a bool or a float equal to a vertex would pass the sort test
+    if any(type(x) is not int for x in p) or sorted(p) != list(range(n)):
+        raise ValueError(f"{name} is not a permutation of 0..n-1")
+    return p
 
 
 def is_regular(g: Graph, r: int) -> bool:

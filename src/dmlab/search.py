@@ -112,7 +112,7 @@ def find_labeling(g: Graph, opts: Optional[SearchOptions] = None) -> SearchOutco
         raise NotEvenRegularError("search requires a connected graph")
 
     stats = {"nodes": 0, "prune_interval": 0, "prune_kernel": 0}
-    basis = spectral.nullspace_basis(spectral.adjacency_matrix(g))
+    basis = spectral.nullspace_basis(g)
     if opts.prefilter and not spectral.basis_verdict(basis, n).candidate:
         stats["prefilter_ruled_out"] = 1
         return _outcome(g, opts, None, 0, stats)

@@ -1,23 +1,24 @@
 """Exact adjacency-kernel computation and the eigenvector-based filter.
 
-Everything here is exact rational arithmetic; the filter tests coordinate
-equalities across the whole kernel, which floating point eigensolvers cannot
-do reliably.  Elimination pivots on an entry of 1 or -1 where the column has
-one, and every integral entry is kept as an int: a fractions.Fraction appears
-only where a division is inexact.  Elimination touches only the nonzero
-entries of each pivot row, so its cost follows the nonzeros of the pivot rows
-rather than the square of the order.
+nullspace_basis gives the kernel of a graph, eliminated in a given order,
+returned in vertex numbering; its working rows are written straight from the
+neighbour tuples.  Everything is exact rational arithmetic: the filter tests
+coordinate equalities across the whole kernel, which floating point
+eigensolvers cannot do reliably.  Elimination pivots on an entry of 1 or -1
+where the column has one, and every integral entry is kept as an int: a
+fractions.Fraction appears only where a division is inexact.  Elimination
+touches only the nonzero entries of each pivot row, so its cost follows the
+nonzeros of the pivot rows rather than the square of the order.
 
-corollary_filter eliminates the graph with its vertices renamed in
-breadth-first band order (a Cuthill-McKee order), which keeps the fill of the
-reduced rows near the diagonal; nullspace_basis, and so the search, keep the
-caller's order.  On the 589 quasi wreath graphs of order 16-28, in band
-order, 959 of 9,630 pivots are not a unit and 199 a Fraction, and 17,082 of
-413,538 row-update results are computed in Fractions (natural order: 1,322,
-44, and 100,160 of 452,064).  In both orders all 134,576 kernel vector
-entries are ints.  The band order takes QW((7,5)^20), n = 480, from 0.8 to
-0.04 s and QW((7,5)^40), n = 960, from 5.3 to 0.18 s (CPython 3.11, one
-core of a 2-CPU x86-64 machine).
+corollary_filter eliminates in breadth-first band order (a Cuthill-McKee
+order), which keeps the fill of the reduced rows near the diagonal; the
+search eliminates in natural order.  On the 589 quasi wreath graphs of order
+16-28, in band order, 959 of 9,630 pivots are not a unit and 199 a Fraction,
+and 17,082 of 413,538 row-update results are computed in Fractions (natural
+order: 1,322, 44, and 100,160 of 452,064).  In both orders all 134,576
+kernel vector entries are ints.  The band order takes QW((7,5)^20), n = 480,
+from 0.8 to 0.04 s and QW((7,5)^40), n = 960, from 5.3 to 0.18 s (CPython
+3.11, one core of a 2-CPU x86-64 machine).
 
 The filter is one-sided: RuledOut is a proof of non-magicness, Candidate is
 not a proof of magicness.
@@ -27,13 +28,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
-from .errors import DmlabError, NotEvenRegularError
-from .graph import Graph
+from .errors import NotEvenRegularError
+from .graph import Graph, _permutation
 
-Vector = Tuple[Rational, ...]  # ints where integral, Fractions elsewhere; so are matrix rows
+Vector = Tuple[Union[int, Fraction], ...]  # ints where integral, Fractions elsewhere
 
 
 @dataclass(frozen=True)
@@ -49,39 +49,6 @@ class NullspaceBasis:
 class FilterVerdict:
     candidate: bool
     reason: Optional[str] = None
-
-
-def adjacency_matrix(g: Graph) -> Tuple[Tuple[int, ...], ...]:
-    """The adjacency matrix as a tuple of int (0/1) rows."""
-    rows = []
-    for v in range(g.n):
-        row = [0] * g.n
-        for w in g.neighbors[v]:
-            row[w] = 1
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def _exact(x):
-    """x as an int when it is integral, else as a Fraction."""
-    if isinstance(x, Rational):
-        return x.numerator if x.denominator == 1 else Fraction(x)
-    raise DmlabError(f"matrix entry {x!r} is not an int or a Fraction")
-
-
-def _exact_rows(rows: Sequence[Sequence]) -> List[List]:
-    """Fresh copies of the rows, integral entries as ints and the others as
-    Fractions; DmlabError unless the rows are non-empty, of equal length, and
-    hold ints and Fractions only."""
-    if not rows:
-        raise DmlabError("the matrix has no rows")
-    cols = len(rows[0])
-    mat = []
-    for row in rows:
-        if len(row) != cols:
-            raise DmlabError(f"ragged matrix: rows of length {cols} and {len(row)}")
-        mat.append([x if type(x) is int else _exact(x) for x in row])
-    return mat
 
 
 def _rref(mat: List[List], cols: int) -> List[int]:
@@ -124,24 +91,36 @@ def _rref(mat: List[List], cols: int) -> List[int]:
     return pivots
 
 
-def nullspace_basis(rows: Sequence[Sequence]) -> NullspaceBasis:
-    """Exact kernel basis of a non-empty sequence of equal-length rows of
-    ints and Fractions: one vector per free column, 1 at the free coordinate.
-    Each entry is an int where it is integral and a Fraction elsewhere.  The
-    rows are not modified; other input raises DmlabError."""
-    mat = _exact_rows(rows)
-    cols = len(mat[0])
-    pivots = _rref(mat, cols)
+def nullspace_basis(g: Graph, order: Sequence[int] = ()) -> NullspaceBasis:
+    """Exact kernel basis of g's adjacency matrix, eliminated in the given
+    vertex order (0..n-1 when order is empty) and returned in vertex
+    numbering: one vector per free vertex, 1 there and 0 at the other free
+    vertices, with pivot_columns the pivot vertices in elimination order.
+    Each entry is an int where it is integral and a Fraction elsewhere.  A
+    non-empty order that is not a permutation of 0..n-1 in exact ints raises
+    ValueError."""
+    n = g.n
+    order = _permutation(order, n, "order") if order else range(n)
+    position = [0] * n
+    for p, v in enumerate(order):
+        position[v] = p
+    mat = []  # row p is vertex order[p], its column q is vertex order[q]
+    for v in order:
+        row = [0] * n
+        for w in g.neighbors[v]:
+            row[position[w]] = 1
+        mat.append(row)
+    pivots = _rref(mat, n)
     pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
+    free = [c for c in range(n) if c not in pivot_set]
     vectors = []
     for fc in free:
-        v = [0] * cols
-        v[fc] = 1
+        v = [0] * n
+        v[order[fc]] = 1
         for r, pc in enumerate(pivots):
-            v[pc] = -mat[r][fc]
+            v[order[pc]] = -mat[r][fc]
         vectors.append(tuple(v))
-    return NullspaceBasis(len(vectors), tuple(vectors), tuple(pivots))
+    return NullspaceBasis(len(vectors), tuple(vectors), tuple(order[pc] for pc in pivots))
 
 
 def require_even_regular(g: Graph) -> int:
@@ -155,10 +134,9 @@ def require_even_regular(g: Graph) -> int:
     return r
 
 
-def pinned_equal_pair(vectors, n: int, position: Sequence[int] = ()) -> Optional[Tuple[int, int]]:
-    """First coordinate pair (i, j), i < j, equal in every given kernel vector,
-    where vertex v of an order-n graph is coordinate position[v] (v itself when
-    position is empty).
+def pinned_equal_pair(vectors, n: int) -> Optional[Tuple[int, int]]:
+    """First vertex pair (i, j), i < j, of an order-n graph equal in every
+    given kernel vector, the vectors in vertex numbering.
 
     Equality across a basis is equivalent to equality across the whole span,
     so the answer does not depend on the basis choice.  Coordinates are
@@ -167,8 +145,8 @@ def pinned_equal_pair(vectors, n: int, position: Sequence[int] = ()) -> Optional
     """
     columns = list(zip(*vectors)) if vectors else [()] * n
     first, second = {}, {}  # column -> its least vertex; that one -> the next
-    for j, p in enumerate(position or range(n)):
-        i = first.setdefault(columns[p], j)
+    for j, column in enumerate(columns):
+        i = first.setdefault(column, j)
         if i != j:
             second.setdefault(i, j)
     return min(second.items(), default=None)
@@ -212,27 +190,22 @@ def _band_order(g: Graph) -> List[int]:
 
 def corollary_filter(g: Graph) -> FilterVerdict:
     """Rule out graphs whose adjacency kernel cannot contain a centered
-    labeling: trivial kernel, or some coordinate pair pinned equal on the
-    whole kernel (a labeling is injective, so pinned-equal is fatal).
+    labeling: trivial kernel, or some vertex pair pinned equal on the whole
+    kernel (a labeling is injective, so pinned-equal is fatal).
 
-    The kernel is eliminated with the vertices renamed by their place in
-    _band_order, which keeps the fill of the reduced rows inside a narrow band;
-    a pinned pair is reported in the caller's numbering, so the verdict and
-    its reason are basis_verdict's on the natural-order kernel."""
+    The kernel is eliminated in _band_order, which keeps the fill of the
+    reduced rows inside a narrow band, and comes back in vertex numbering,
+    so the verdict and its reason do not depend on the elimination order."""
     require_even_regular(g)
-    order = _band_order(g)
-    position = [0] * g.n
-    for p, v in enumerate(order):
-        position[v] = p
-    return basis_verdict(nullspace_basis(adjacency_matrix(g.relabel(position))), g.n, position)
+    return basis_verdict(nullspace_basis(g, _band_order(g)), g.n)
 
 
-def basis_verdict(basis: NullspaceBasis, n: int, position: Sequence[int] = ()) -> FilterVerdict:
-    """The filter's verdict on a kernel basis of an order-n graph whose
-    vertex v is coordinate position[v] (v itself when position is empty)."""
+def basis_verdict(basis: NullspaceBasis, n: int) -> FilterVerdict:
+    """The filter's verdict on a kernel basis, in vertex numbering, of an
+    order-n graph."""
     if basis.dimension == 0:
         return FilterVerdict(False, "trivial nullspace")
-    pair = pinned_equal_pair(basis.vectors, n, position)
+    pair = pinned_equal_pair(basis.vectors, n)
     if pair is not None:
         return FilterVerdict(
             False, f"coordinates {pair[0]} and {pair[1]} equal across the nullspace"

@@ -27,7 +27,7 @@ from dmlab.labeling import (
 )
 from dmlab.qw import build_qw, build_wreath, classify, profile_to_sequence
 from dmlab.search import FOUND, NOT_FOUND, find_labeling
-from dmlab.spectral import adjacency_matrix, corollary_filter, nullspace_basis, pinned_equal_pair
+from dmlab.spectral import corollary_filter, nullspace_basis, pinned_equal_pair
 
 
 def _report(tag, body):
@@ -149,7 +149,7 @@ def test_acceptance_7_filter_soundness_and_basis_invariance():
             verdict = corollary_filter(g)
             if find_labeling(g).verdict == FOUND:
                 assert verdict.candidate, write_graph6(g)
-            basis = nullspace_basis(adjacency_matrix(g))
+            basis = nullspace_basis(g)
             base_pin = pinned_equal_pair(basis.vectors, g.n) is None
             vectors = basis.vectors
             for _ in range(50):

@@ -260,6 +260,14 @@ class TestGraph:
         with pytest.raises(ValueError, match="not a permutation"):
             Graph(3, [(0, 1), (1, 2)]).relabel(perm)
 
+    @pytest.mark.parametrize("end", [True, 1.0, Fraction(1)])
+    def test_rejects_endpoints_that_are_not_ints(self, end):
+        # each equals vertex 1, but a bool would end up in the neighbour
+        # tuples and a float or a Fraction fails as a list index
+        for edge in [(0, end), (end, 2)]:
+            with pytest.raises(ValueError, match="not an int"):
+                Graph(3, [edge])
+
     def test_has_edge_outside_vertex_range(self):
         g = build_wreath(3)
         assert g.has_edge(0, 1) and g.has_edge(1, 0)

@@ -67,9 +67,15 @@ MUTANTS = {
     ),
     "band-pair-mapped-by-vertex": (
         "spectral.py",
-        "g.n, position)",
-        "g.n, order)",
+        "v[order[pc]] = -mat[r][fc]",
+        "v[pc] = -mat[r][fc]",
         ["tests/test_spectral.py::TestBandOrder"],
+    ),
+    "band-row-unpermuted": (
+        "spectral.py",
+        "row[position[w]] = 1",
+        "row[w] = 1",
+        ["tests/test_spectral.py::TestBandOrder", "tests/test_spectral.py::TestAgainstDenseElimination"],
     ),
     "trivial-kernel-passes": (
         "spectral.py",
@@ -85,8 +91,8 @@ MUTANTS = {
     ),
     "kernel-vector-sign": (
         "spectral.py",
-        "v[pc] = -mat[r][fc]",
-        "v[pc] = mat[r][fc]",
+        "v[order[pc]] = -mat[r][fc]",
+        "v[order[pc]] = mat[r][fc]",
         ["tests/test_spectral.py::TestAgainstDenseElimination"],
     ),
     "inexact-pivot-division-floors": (

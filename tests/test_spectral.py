@@ -5,14 +5,13 @@ import networkx as nx
 import pytest
 
 from conftest import QUARTIC_10, all_profiles, random_graph, recombine, relabel
-from dmlab.errors import DmlabError, NotEvenRegularError
+from dmlab.errors import NotEvenRegularError
 from dmlab.enumerator import EnumerationTask, _classes
 from dmlab.graph import Graph, parse_graph6, write_graph6
 from dmlab.labeling import CenteredLabeling, verify, wreath_labeling
 from dmlab import spectral
 from dmlab.qw import build_qw, build_wreath, classify, profile_to_sequence
 from dmlab.spectral import (
-    adjacency_matrix,
     corollary_filter,
     near_twin_pair,
     nullspace_basis,
@@ -27,60 +26,37 @@ def mat_vec(m, v):
     return [sum(a * b for a, b in zip(row, v)) for row in m]
 
 
-class TestAdjacency:
-    def test_c4(self):
-        m = adjacency_matrix(C4)
-        assert [[int(x) for x in row] for row in m] == [
-            [0, 1, 0, 1],
-            [1, 0, 1, 0],
-            [0, 1, 0, 1],
-            [1, 0, 1, 0],
-        ]
-
-    def test_k5_is_j_minus_i(self):
-        m = adjacency_matrix(K5)
-        assert all(m[i][j] == (0 if i == j else 1) for i in range(5) for j in range(5))
-
-    def test_rows_hold_ints(self, rng):
-        graphs = [C4, K5, build_wreath(3)]
-        graphs += [random_graph(rng, rng.randint(1, 12)) for _ in range(20)]
-        for g in graphs:
-            assert all(type(x) is int for row in adjacency_matrix(g) for x in row)
-
-    def test_row_sums_are_degrees(self, rng):
-        for _ in range(20):
-            g = random_graph(rng, rng.randint(1, 12))
-            m = adjacency_matrix(g)
-            assert [int(sum(row)) for row in m] == [g.degree(v) for v in range(g.n)]
+def dense_rows(g):
+    """The adjacency matrix of g as int rows, for the reference elimination."""
+    return [[int(w in g.neighbors[v]) for w in range(g.n)] for v in range(g.n)]
 
 
 class TestNullspace:
     def test_c4_dimension_two(self):
-        basis = nullspace_basis(adjacency_matrix(C4))
+        basis = nullspace_basis(C4)
         assert basis.dimension == 2
         # hand elimination gives span{(1,0,-1,0), (0,1,0,-1)}
         for target in [(1, 0, -1, 0), (0, 1, 0, -1)]:
             assert _in_span(basis.vectors, target)
 
     def test_k5_trivial(self):
-        assert nullspace_basis(adjacency_matrix(K5)).dimension == 0
+        assert nullspace_basis(K5).dimension == 0
 
     def test_w3_nontrivial(self):
-        assert nullspace_basis(adjacency_matrix(build_wreath(3))).dimension >= 1
+        assert nullspace_basis(build_wreath(3)).dimension >= 1
 
     def test_exactness_random(self, rng):
         for _ in range(500):
             g = random_graph(rng, rng.randint(1, 16))
-            m = adjacency_matrix(g)
-            basis = nullspace_basis(m)
+            m = dense_rows(g)
+            basis = nullspace_basis(g)
             for v in basis.vectors:
                 assert all(x == 0 for x in mat_vec(m, v))
 
     def test_rank_nullity(self, rng):
         for _ in range(60):
             g = random_graph(rng, rng.randint(1, 12))
-            m = adjacency_matrix(g)
-            basis = nullspace_basis(m)
+            basis = nullspace_basis(g)
             assert len(basis.pivot_columns) + basis.dimension == g.n
 
 
@@ -112,7 +88,7 @@ class TestKernelDimension:
     search that branches only on its free coordinates misses no labeling."""
 
     def check(self, g):
-        assert nullspace_basis(adjacency_matrix(g)).dimension == g.n - rank_mod_prime(g)
+        assert nullspace_basis(g).dimension == g.n - rank_mod_prime(g)
 
     def test_connected_quartic_order_10(self):
         for s in QUARTIC_10:
@@ -130,9 +106,9 @@ class TestKernelDimension:
             self.check(random_graph(rng, rng.randint(1, 14), rng.choice([0.2, 0.4, 0.6])))
 
 
-def reference_basis(rows):
+def reference_rref(rows):
     """The dense elimination: every entry of every eliminated row is updated,
-    in Fraction arithmetic; (vectors, pivot_columns) of nullspace_basis."""
+    in Fraction arithmetic; (reduced rows, pivot columns) of spectral._rref."""
     mat = [[Fraction(x) for x in row] for row in rows]
     cols = len(mat[0])
     pivots = []
@@ -151,6 +127,14 @@ def reference_basis(rows):
         pivots.append(c)
         if len(pivots) == len(mat):
             break
+    return mat, pivots
+
+
+def reference_basis(rows):
+    """(vectors, pivot_columns) of nullspace_basis in natural order, from the
+    dense elimination."""
+    mat, pivots = reference_rref(rows)
+    cols = len(mat[0])
     vectors = []
     for fc in (c for c in range(cols) if c not in pivots):
         v = [Fraction(0)] * cols
@@ -187,30 +171,59 @@ def is_int_first(x):
 
 
 class TestAgainstDenseElimination:
-    """The sparse row updates on unit pivots give the basis of the dense
-    elimination on first nonzero pivots entry for entry, so the search keeps
-    its free coordinates and printed labelings.  Each entry is an int where
-    it is integral and a Fraction elsewhere."""
+    """The sparse row updates on unit pivots give the reduced rows of the
+    dense elimination on first nonzero pivots entry for entry, and so its
+    kernel basis: the search keeps its free coordinates and printed
+    labelings.  Each entry is an int where it is integral and a Fraction
+    elsewhere."""
 
-    def check(self, rows):
-        basis = nullspace_basis(rows)
-        assert (basis.vectors, basis.pivot_columns) == reference_basis(rows)
+    def check(self, g):
+        basis = nullspace_basis(g)
+        assert (basis.vectors, basis.pivot_columns) == reference_basis(dense_rows(g))
         assert all(is_int_first(x) for v in basis.vectors for x in v)
-        return basis
+
+    def check_rows(self, rows):
+        """_rref on a general matrix whose integral entries are ints; the
+        reduced rows."""
+        mat = [[x.numerator if x.denominator == 1 else x for x in row] for row in rows]
+        pivots = spectral._rref(mat, len(mat[0]))
+        assert (mat, pivots) == reference_rref(rows)
+        assert all(is_int_first(x) for row in mat for x in row)
+        return mat
 
     def test_connected_quartic_order_10(self):
         for s in QUARTIC_10:
-            self.check(adjacency_matrix(parse_graph6(s)))
+            self.check(parse_graph6(s))
 
     def test_quasi_wreath_profiles(self):
         for parts in all_profiles(8):
-            self.check(adjacency_matrix(build_qw(profile_to_sequence(parts))))
+            self.check(build_qw(profile_to_sequence(parts)))
 
     def test_random_graphs(self):
         rng = random.Random(37)
         for _ in range(200):
-            g = random_graph(rng, rng.randint(1, 14), rng.choice([0.2, 0.4, 0.6]))
-            self.check(adjacency_matrix(g))
+            self.check(random_graph(rng, rng.randint(1, 14), rng.choice([0.2, 0.4, 0.6])))
+
+    def test_elimination_orders(self):
+        # the basis in order equals the dense elimination of the matrix with
+        # rows and columns in that order, mapped back to vertex numbering
+        rng = random.Random(61)
+        graphs = [parse_graph6(s) for s in QUARTIC_10]
+        graphs += [build_qw(profile_to_sequence(p)) for p in all_profiles(8)]
+        for g in graphs:
+            order = list(range(g.n))
+            rng.shuffle(order)
+            rows = [[int(order[q] in g.neighbors[v]) for q in range(g.n)] for v in order]
+            vectors, pivots = reference_basis(rows)
+            mapped = []
+            for vec in vectors:
+                v = [0] * g.n
+                for q, x in enumerate(vec):
+                    v[order[q]] = x
+                mapped.append(tuple(v))
+            basis = nullspace_basis(g, order)
+            assert basis.vectors == tuple(mapped), write_graph6(g)
+            assert basis.pivot_columns == tuple(order[pc] for pc in pivots)
 
     def test_random_rational_rows(self):
         rng = random.Random(41)
@@ -224,22 +237,22 @@ class TestAgainstDenseElimination:
             if rows > 1:  # a dependent row, so that the rank drops often
                 c = rng.choice(values)
                 mat[-1] = [a + c * b for a, b in zip(mat[0], mat[1])]
-            self.check(tuple(tuple(row) for row in mat))
+            self.check_rows(mat)
 
     def test_random_int_rows(self):
         # pivots of +-2 and +-3 make some divisions inexact and others exact
         inexact = 0
         for mat in random_int_rows():
-            vectors = self.check(mat).vectors
-            inexact += any(x.denominator > 1 for v in vectors for x in v)
-        assert inexact >= 100  # 134 of the 300 bases have a non-integer entry
+            reduced = self.check_rows(mat)
+            inexact += any(x.denominator > 1 for row in reduced for x in row)
+        assert inexact >= 100  # 134 of the 300 reduced forms have a non-integer entry
 
     def test_unit_pivot_below_a_non_unit_entry(self):
         for rows in NON_UNIT_FIRST + [
             ((Fraction(1, 2), 1, 0, 1), (0, 2, 1, 0), (1, 1, 1, 1)),
             ((1, 0, 0, 1, 0), (0, Fraction(-2, 3), 1, 0, 1), (0, 3, 1, 1, 0), (0, -1, 2, 0, 1)),
         ]:
-            self.check(rows)
+            self.check_rows(rows)
 
     def test_random_int_rows_with_a_unit_below(self):
         # column 0's first entry is +-2 or +-3 and a later row holds +-1 there
@@ -253,31 +266,7 @@ class TestAgainstDenseElimination:
             if rows > 2:  # a dependent row, so that the rank drops often
                 a, b = rng.randint(-2, 2), rng.randint(-2, 2)
                 mat[-1] = [a * x + b * y for x, y in zip(mat[0], mat[1])]
-            self.check(mat)
-
-    def test_mixed_rows(self):
-        # ints, bools, integral Fractions (stored as ints) and other Fractions
-        rng = random.Random(53)
-        values = [0, 1, -2, 3, True, False, Fraction(4, 2), Fraction(-6, 3), Fraction(1, 2),
-                  Fraction(-2, 3), Fraction(5, 3)]
-        for _ in range(300):
-            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
-            mat = [[rng.choice(values) for _ in range(cols)] for _ in range(rows)]
-            if rows > 2:
-                mat[-1] = [x + 2 * y for x, y in zip(mat[0], mat[1])]
-            self.check(mat)
-
-    def test_list_rows_are_not_modified(self):
-        rng = random.Random(43)
-        for _ in range(50):
-            n = rng.randint(2, 8)
-            rows = [
-                [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)]
-                for _ in range(n)
-            ]
-            before = [list(row) for row in rows]
-            nullspace_basis(rows)
-            assert rows == before
+            self.check_rows(mat)
 
 
 class TestIntArithmetic:
@@ -299,8 +288,8 @@ class TestIntArithmetic:
             assert all(type(x) is int for row in mat for x in row)
 
     def test_integral_entries_are_ints(self):
-        matrices = [adjacency_matrix(parse_graph6(s)) for s in QUARTIC_10]
-        matrices += [adjacency_matrix(build_qw(profile_to_sequence(p))) for p in all_profiles(10)]
+        matrices = [dense_rows(parse_graph6(s)) for s in QUARTIC_10]
+        matrices += [dense_rows(build_qw(profile_to_sequence(p))) for p in all_profiles(10)]
         matrices += list(random_int_rows())
         for rows in matrices:
             mat = [list(row) for row in rows]
@@ -314,57 +303,31 @@ class TestIntArithmetic:
         graphs += list(_classes(EnumerationTask(10, 4, connected=False)))
         assert len(graphs) == 231 + 59 + 60
         for g in graphs:
-            vectors = nullspace_basis(adjacency_matrix(g)).vectors
+            vectors = nullspace_basis(g).vectors
             assert all(type(x) is int for v in vectors for x in v), write_graph6(g)
 
     def test_inexact_division_gives_fractions(self):
         # the order-12 quartic graph of TestCountMode::test_non_integral_basis_pinned
-        (v,) = nullspace_basis(adjacency_matrix(parse_graph6("K?Chqj@wKw[O"))).vectors
+        (v,) = nullspace_basis(parse_graph6("K?Chqj@wKw[O")).vectors
         third = Fraction(1, 3)
         assert v == (third, third, -third, -third, -third, third, -third, third, -third, -1, third, 1)
         assert [type(x) for x in v] == [Fraction] * 9 + [int, Fraction, int]
 
-
-class TestNullspaceInput:
-    def test_int_rows_give_an_exact_basis(self):
-        for rows, vector in [
-            (((1, 2), (2, 4)), (-2, 1)),
-            (((3, 1, 0), (0, 2, 1)), (Fraction(1, 6), Fraction(-1, 2), 1)),
-            (((Fraction(1, 2), Fraction(3, 2)),), (-3, 1)),
+    def test_int_rows_give_an_exact_rref(self):
+        for rows, reduced in [
+            ([[1, 2], [2, 4]], [[1, 2], [0, 0]]),
+            ([[3, 1, 0], [0, 2, 1]], [[1, 0, Fraction(-1, 6)], [0, 1, Fraction(1, 2)]]),
+            ([[Fraction(1, 2), Fraction(3, 2)]], [[1, 3]]),
         ]:
-            (v,) = nullspace_basis(rows).vectors
-            assert v == vector
-            assert [type(x) for x in v] == [type(x) for x in vector]
-
-    @pytest.mark.parametrize("entry", [0.5, 1.0, complex(1, 0), "1", None])
-    def test_non_rational_entry_rejected(self, entry):
-        with pytest.raises(DmlabError, match="not an int or a Fraction"):
-            nullspace_basis(((Fraction(1), Fraction(0)), (Fraction(0), entry)))
-
-    @pytest.mark.parametrize(
-        "rows",
-        [
-            ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0), Fraction(1))),
-            ((Fraction(1), Fraction(0), Fraction(1)), (Fraction(0), Fraction(1))),
-            ((1, 0), ()),
-        ],
-    )
-    def test_ragged_rows_rejected(self, rows):
-        with pytest.raises(DmlabError, match="ragged"):
-            nullspace_basis(rows)
-
-    @pytest.mark.parametrize("rows", [(), []])
-    def test_no_rows_rejected(self, rows):
-        with pytest.raises(DmlabError, match="no rows"):
-            nullspace_basis(rows)
+            spectral._rref(rows, len(rows[0]))
+            assert rows == reduced
+            assert [type(x) for row in rows for x in row] == [type(x) for row in reduced for x in row]
 
 
 def _in_span(vectors, target):
     # append target and compare ranks (pivot counts) via a fresh elimination
-    target = tuple(Fraction(x) for x in target)
-    rows = tuple(tuple(v) for v in vectors)
-    rank1 = len(nullspace_basis(rows).pivot_columns)
-    rank2 = len(nullspace_basis((*rows, target)).pivot_columns)
+    rank1 = len(reference_basis(vectors)[1])
+    rank2 = len(reference_basis([*vectors, target])[1])
     return rank1 == rank2
 
 
@@ -391,13 +354,13 @@ class TestFilter:
 
     def test_c4_has_no_pinned_pair(self):
         # span{(1,0,-1,0),(0,1,0,-1)} pins no coordinate pair equal
-        basis = nullspace_basis(adjacency_matrix(C4))
+        basis = nullspace_basis(C4)
         assert pinned_equal_pair(basis.vectors, 4) is None
 
     def test_verdict_invariant_under_recombination(self):
         rng = random.Random(5)
         for g in [C4, build_wreath(3), build_wreath(4), build_wreath(5)]:
-            basis = nullspace_basis(adjacency_matrix(g))
+            basis = nullspace_basis(g)
             base = pinned_equal_pair(basis.vectors, g.n) is None
             for _ in range(50):
                 vs = recombine(basis.vectors, rng)
@@ -416,7 +379,7 @@ class TestFilter:
         assert len(graphs) >= 59 + 87 + 30
 
         def verdict(g):
-            return corollary_filter(g).candidate, nullspace_basis(adjacency_matrix(g)).dimension
+            return corollary_filter(g).candidate, nullspace_basis(g).dimension
 
         verdicts = [verdict(g) for g in graphs]
         # candidates, pinned pairs in a nontrivial kernel, and trivial kernels
@@ -457,13 +420,42 @@ class TestBandOrder:
         reasons = []
         for g in graphs:
             got = corollary_filter(g)
-            assert got == spectral.basis_verdict(nullspace_basis(adjacency_matrix(g)), g.n), write_graph6(g)
+            assert got == spectral.basis_verdict(nullspace_basis(g), g.n), write_graph6(g)
             reasons.append(got.reason)
         # candidates, trivial kernels and pinned pairs other than (0, 1)
         pairs = {r for r in reasons if r and r.startswith("coordinates")}
         assert None in reasons and "trivial nullspace" in reasons and len(pairs) > 10
         # the band order renames the vertices of most of these graphs
         assert sum(spectral._band_order(g) != list(range(g.n)) for g in graphs) > len(graphs) // 2
+
+
+class TestEliminationOrder:
+    """nullspace_basis eliminates in any order of the vertices and returns a
+    basis of the same kernel in vertex numbering."""
+
+    def test_random_orders(self):
+        rng = random.Random(67)
+        graphs = [parse_graph6(s) for s in QUARTIC_10]
+        graphs += [build_qw(profile_to_sequence(p)) for p in all_profiles(10)]
+        for g in graphs:
+            natural = pinned_equal_pair(nullspace_basis(g).vectors, g.n)
+            dimension = g.n - rank_mod_prime(g)
+            for _ in range(3):
+                order = list(range(g.n))
+                rng.shuffle(order)
+                basis = nullspace_basis(g, order)
+                assert basis.dimension == len(basis.vectors) == dimension, write_graph6(g)
+                pivots = set(basis.pivot_columns)
+                free = [v for v in order if v not in pivots]
+                for k, vec in enumerate(basis.vectors):
+                    assert all(sum(vec[w] for w in nb) == 0 for nb in g.neighbors)
+                    assert [vec[v] for v in free] == [int(i == k) for i in range(len(free))]
+                assert pinned_equal_pair(basis.vectors, g.n) == natural, write_graph6(g)
+
+    @pytest.mark.parametrize("order", [[0, 1, 1, 3], [0, 1, 2], [0, 1, 2, 3, 4], [True, 0, 2, 3]])
+    def test_order_must_be_a_permutation_of_exact_ints(self, order):
+        with pytest.raises(ValueError, match="not a permutation"):
+            nullspace_basis(C4, order)
 
 
 class TestFilterMatchesClassifier:
@@ -503,7 +495,7 @@ class TestLemmaEv:
     def test_wreath_labeling_accepted(self):
         g, lab = build_wreath(3), wreath_labeling(3)
         assert verify(g, lab).ok
-        assert all(x == 0 for x in mat_vec(adjacency_matrix(g), lab.labels))
+        assert all(x == 0 for x in mat_vec(dense_rows(g), lab.labels))
 
     def test_perturbed_rejected(self):
         labels = list(wreath_labeling(3).labels)
@@ -540,13 +532,13 @@ class TestPinnedEqualPair:
         assert len(QUARTIC_10) == 59
         for s in QUARTIC_10:
             g = parse_graph6(s)
-            vs = nullspace_basis(adjacency_matrix(g)).vectors
+            vs = nullspace_basis(g).vectors
             assert pinned_equal_pair(vs, g.n) == pinned_pair_reference(vs, g.n), s
 
     def test_qw_profiles_up_to_10(self):
         for parts in all_profiles(10):
             g = build_qw(profile_to_sequence(parts))
-            vs = nullspace_basis(adjacency_matrix(g)).vectors
+            vs = nullspace_basis(g).vectors
             assert pinned_equal_pair(vs, g.n) == pinned_pair_reference(vs, g.n), parts
 
     def test_random_bases(self):
