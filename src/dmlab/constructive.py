@@ -4,7 +4,8 @@ Implements the explicit block-by-block labeling that proves the sufficient
 half of the classification: any sequence whose segments are all of type A
 (length = 3 mod 4) or type B (length = 1 mod 4), with an even number of
 type-B segments, gets a labeling with every vertex weight 0.  ``plan`` is
-the classifier's guard in front of ``qw.segments``, which carry the pairing.
+the classifier's guard in front of the sequence's segments, which carry the
+pairing; both read the one scan the sequence keeps.
 
 Labels are appended in block order, so each block is written exactly once.
 The one block a segment fixes ahead of the order, its type-B partner's
@@ -18,7 +19,7 @@ from typing import Dict, List, Tuple
 
 from .errors import InvariantError, NotDistanceMagicError
 from .labeling import CenteredLabeling, block_labels
-from .qw import TYPE_A, QWSequence, Segment, classify, segments
+from .qw import TYPE_A, QWSequence, Segment, classify
 
 
 def plan(seq: QWSequence) -> Tuple[Segment, ...]:
@@ -27,7 +28,7 @@ def plan(seq: QWSequence) -> Tuple[Segment, ...]:
     verdict = classify(seq)
     if not verdict.distance_magic:
         raise NotDistanceMagicError(verdict.reason)
-    return tuple(segments(seq))
+    return seq.segments
 
 
 # (alpha - 2j, beta - 2j) for interior block k_i + j, 2 <= j <= length - 3, by j mod 4
@@ -45,19 +46,20 @@ def _assign(seq: QWSequence, starred: bool) -> CenteredLabeling:
     xs: List[int] = []  # x_0, x_1, ... in block order
     ys: List[int] = []
     held: Dict[int, Tuple[int, int]] = {}  # block -> labels fixed by its partner
-    for s in segs:
-        sign = -1 if s.b % 2 else 1
-        off = 2 * s.start
+    for _, start, length, kind, b, partner in segs:
+        end = start + length
+        sign = -1 if b % 2 else 1
+        off = 2 * start
         xs += (sign * (off + 1), sign * (off + 3))
         ys += (sign * (-off - 3), sign * (-off - 1))
-        for j in range(2, s.length - 2):  # 2 <= j <= length - 3
+        for j in range(2, length - 2):  # 2 <= j <= length - 3
             alpha, beta = _INTERIOR_OFFSETS[j % 4]
             xs.append(sign * (off + 2 * j + alpha))
             ys.append(sign * (-off - 2 * j - beta))
-        ke = 2 * s.end  # 2 k_{i+1}
+        ke = 2 * end  # 2 k_{i+1}
         last = (ke - 1, -ke + 1)
-        if s.partner is not None:
-            p_end = segs[s.partner - 1].end
+        if partner is not None:
+            p_end = segs[partner - 1].end
             ke_p = 2 * p_end  # 2 k_{i'+1}
             at_partner, last = (ke - 1, -ke + 3), (ke_p - 3, -ke_p + 3)
             if starred:
@@ -65,16 +67,16 @@ def _assign(seq: QWSequence, starred: bool) -> CenteredLabeling:
                 at_partner, last = last, at_partner
             held[p_end - 2] = at_partner
             penultimate = (ke - 3, -ke + 1)
-        elif s.kind == TYPE_A:
-            if s.length == 3:  # the first two blocks were all but the last
+        elif kind == TYPE_A:
+            if length == 3:  # the first two blocks were all but the last
                 xs.append(last[0])
                 ys.append(last[1])
                 continue
             penultimate = (sign * (ke - 5), sign * (-ke + 7))
         else:  # the second of a type-B pair
-            penultimate = held.pop(s.end - 2, None)
+            penultimate = held.pop(end - 2, None)
             if penultimate is None:
-                raise InvariantError(f"block {s.end - 2} was not fixed by a type-B partner")
+                raise InvariantError(f"block {end - 2} was not fixed by a type-B partner")
         xs += (penultimate[0], last[0])
         ys += (penultimate[1], last[1])
     if held:

@@ -6,14 +6,16 @@ and y_0..y_{m-1}); position i carries a "rung" pair of edges when s_i = 0 and
 a "crossing" pair when s_i = 1.  Vertex convention everywhere: x_i -> i,
 y_i -> m + i.
 
-One scan of the bits gives the segment lengths; the profile, the classifier
-and the segments with their type-B pairing are all read from them.
+One scan of the bits per sequence gives its segments with their type-B
+pairing, kept by the sequence; the profile, the classifier and the
+constructive labeling all read them.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InvalidSequenceError
@@ -33,6 +35,12 @@ class QWSequence:
     @property
     def m(self) -> int:
         return len(self.bits)
+
+    @cached_property
+    def segments(self) -> Tuple[Segment, ...]:
+        """The segments in order, scanned from the bits once and kept with the
+        sequence; equality, hash and repr read the bits only."""
+        return _scan(self.bits)
 
 
 def validate_sequence(bits: Sequence[int]) -> QWSequence:
@@ -80,12 +88,7 @@ def profile_to_sequence(parts: Sequence[int]) -> QWSequence:
 
 def sequence_to_profile(seq: QWSequence) -> Tuple[int, ...]:
     """Run lengths between consecutive zero bits (inverse of profile_to_sequence)."""
-    return tuple(_lengths(seq))
-
-
-def _lengths(seq: QWSequence) -> List[int]:
-    """The segment lengths in order: each is a zero bit and the run of ones after it."""
-    return [len(run) + 1 for run in bytes(seq.bits).split(b"\0")[1:]]
+    return tuple(s.length for s in seq.segments)
 
 
 def segment_type(length: int) -> str:
@@ -121,17 +124,22 @@ class Segment(NamedTuple):
 
 
 def segments(seq: QWSequence) -> List[Segment]:
-    """The segments of seq in order, with their type-B pairing."""
-    lengths = _lengths(seq)
+    """The segments of seq in order, with their type-B pairing, as a new list."""
+    return list(seq.segments)
+
+
+def _scan(bits: Tuple[int, ...]) -> Tuple[Segment, ...]:
+    """One scan of the bits: each segment is a zero bit and the run of ones after it."""
+    lengths = [len(run) + 1 for run in bytes(bits).split(b"\0")[1:]]
     kinds = [segment_type(a) for a in lengths]
     type_b = [i for i, kind in enumerate(kinds, 1) if kind == TYPE_B]  # 1-based indices
     partner = dict(zip(type_b[::2], type_b[1::2]))
     starts = itertools.accumulate(lengths, initial=0)
     before = itertools.accumulate((kind == TYPE_B for kind in kinds), initial=0)
-    return [
+    return tuple(
         Segment(i, k, a, kind, b, partner.get(i))
         for i, (a, kind, k, b) in enumerate(zip(lengths, kinds, starts, before), 1)
-    ]
+    )
 
 
 @dataclass(frozen=True)
@@ -143,7 +151,7 @@ class Classification:
 def classify(seq: QWSequence) -> Classification:
     """Distance magic iff every segment length is odd and the number of
     segments of length = 1 (mod 4) is even."""
-    lengths = _lengths(seq)
+    lengths = [s.length for s in seq.segments]
     even = ", ".join(f"segment {i} (length {a})" for i, a in enumerate(lengths, 1) if a % 2 == 0)
     if even:
         return Classification(False, f"segments of even length: {even}")
@@ -180,6 +188,7 @@ def _neighbor_rows(bits: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
     x_i is joined to x_{i-1}, x_{i+1}, to y_i or y_{i-1} by s_{i-1} and to y_i
     or y_{i+1} by s_i; y_i likewise with the rows swapped.  Every tuple is in
     ascending order except at i = 0 and i = m-1, where the cycles wrap.
+    When s_{i-1} = s_i = 1, x_i and y_i are twins and share one tuple.
     """
     m = len(bits)
     # xs[i + 1] is x_i and ys[i + 1] is y_i, with one wrapped entry at each
@@ -189,8 +198,8 @@ def _neighbor_rows(bits: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
     rows = [None] * (2 * m)
     for i, (r, s) in enumerate(zip(itertools.chain(bits[-1:], bits), bits)):
         lo, hi = i + 1 - r, i + 1 + s  # the partners chosen by s_{i-1} and s_i
-        rows[i] = (xs[i], xs[i + 2], ys[lo], ys[hi])
-        rows[m + i] = (xs[lo], xs[hi], ys[i], ys[i + 2])
+        rows[i] = row = (xs[i], xs[i + 2], ys[lo], ys[hi])
+        rows[m + i] = row if r and s else (xs[lo], xs[hi], ys[i], ys[i + 2])
     for v in (0, m - 1, m, 2 * m - 1):
         rows[v] = tuple(sorted(rows[v]))
     return tuple(rows)

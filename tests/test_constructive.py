@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from conftest import dm_profiles, odd_compositions
-from dmlab import constructive
+from dmlab import constructive, qw
 from dmlab.constructive import (
     block_label_pattern,
     construct_labeling,
@@ -232,11 +232,45 @@ class TestLargeSoundness:
             assert sorted(lab.labels) == list(centered_label_set(2 * seq.m))
 
 
+class TestOneScan:
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        """The bits of every scan for segments, in call order."""
+        calls, scan = [], qw._scan
+
+        def counted(bits):
+            calls.append(bits)
+            return scan(bits)
+
+        monkeypatch.setattr(qw, "_scan", counted)
+        return calls
+
+    def test_one_scan_per_sequence(self, scans):
+        seq = profile_to_sequence((5, 3, 7, 5, 3))
+        assert classify(seq).distance_magic
+        lab = construct_labeling(seq)
+        construct_tilde_labeling(seq)
+        assert block_label_pattern(seq, lab)
+        assert [s.length for s in qw.segments(seq)] == [5, 3, 7, 5, 3]
+        assert plan(seq) is seq.segments
+        assert scans == [seq.bits]
+
+    def test_refused_sequence_is_scanned_once(self, scans):
+        seq = profile_to_sequence((5, 3))
+        for _ in range(2):
+            with pytest.raises(NotDistanceMagicError, match="odd number of type-B"):
+                construct_labeling(seq)
+        assert scans == [seq.bits]
+
+
 class TestMemory:
-    @pytest.mark.parametrize("parts", [(3,) * 10000, (5, 7, 9, 3, 5, 11) * 750])
+    @pytest.mark.parametrize(
+        "parts", [(3,) * 10000, (5, 7, 9, 3, 5, 11) * 750, (19,) * 1578 + (11, 7)]
+    )
     def test_peak_bounded_by_labeling(self, parts):
-        # m = 30000: the segments and the two label lists are all the working
-        # memory; these read about 2.0 and 1.7
+        # m = 30000: the two label lists are all the working memory, and the
+        # segments, scanned here, stay with the sequence; these read about
+        # 1.2, 1.2 and 1.3
         seq = profile_to_sequence(parts)
         tracemalloc.start()
         try:
@@ -245,7 +279,7 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert seq.m == 30000 and len(lab.labels) == 60000
-        assert peak <= 2.5 * kept
+        assert peak <= 1.5 * kept
 
 
 class TestInvariantChecks:
@@ -297,3 +331,13 @@ class TestInvariantChecks:
         seq = self._patched(monkeypatch, (3, 3), lambda segs: segs[:1])
         with pytest.raises(InvariantError, match="3 blocks labeled for m = 6"):
             construct_labeling(seq)
+
+    def test_patched_plan_takes_effect_over_the_kept_segments(self, monkeypatch):
+        # the labeling reads plan's segments, not the sequence's own; the
+        # patch leaves the sequence as it was
+        seq = self._patched(monkeypatch, (3, 3), lambda segs: segs[:1])
+        with pytest.raises(InvariantError):
+            construct_labeling(seq)
+        assert [s.length for s in seq.segments] == [3, 3]
+        monkeypatch.undo()
+        assert construct_labeling(seq) == construct_labeling(profile_to_sequence((3, 3)))

@@ -54,6 +54,14 @@ class TestVerify:
         report = verify(g, CenteredLabeling(6, (0,) * 6))
         assert not report.bijective and not report.ok
 
+    def test_repeated_label_in_place_of_the_lowest_is_not_a_bijection(self):
+        # right length, every label in the target range, but 1 - n is missing
+        for n in (2, 4, 6, 11, 20):
+            labels = list(range(1 - n, n, 2))
+            labels[0] = labels[-1]
+            assert not CenteredLabeling(n, tuple(labels)).is_bijection(), n
+            assert CenteredLabeling(n, tuple(range(n - 1, -n, -2))).is_bijection(), n
+
     def test_all_weights_computed(self):
         g = build_wreath(3)
         report = verify(g, CenteredLabeling(6, (1, 3, 5, -1, -3, -5)))

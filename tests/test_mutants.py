@@ -35,6 +35,18 @@ MUTANTS = {
         "b_count = sum(a % 4 == 3 for a in lengths)",
         ["tests/test_qw.py::TestClassifier"],
     ),
+    "segments-returns-the-cache": (
+        "qw.py",
+        "return list(seq.segments)",
+        "return seq.segments",
+        ["tests/test_qw.py::TestSegments"],
+    ),
+    "twin-rows-on-one-crossing": (
+        "qw.py",
+        "row if r and s else",
+        "row if r or s else",
+        ["tests/test_qw.py::TestBuilderRules"],
+    ),
     "triangle-prune-ge": (
         "enumerator.py",
         "if any(_triangles(adj, u) > top for u in range(1, fresh)):",
@@ -117,6 +129,12 @@ MUTANTS = {
         "labeling.py",
         "for nb in g.neighbors:",
         "for nb in g.neighbors[:-1]:",
+        ["tests/test_labeling.py::TestVerify"],
+    ),
+    "bijection-misses-lowest-label": (
+        "labeling.py",
+        "range(1 - self.order, ",
+        "range(3 - self.order, ",
         ["tests/test_labeling.py::TestVerify"],
     ),
     "label-set-accepts-odd-order": (

@@ -192,19 +192,35 @@ class TestBuilderRules:
             assert g == Graph(2 * k, edges), k
             assert_well_formed(g)
 
+    def test_twins_share_one_tuple(self):
+        # x_i and y_i see the same four vertices exactly when s_{i-1} = s_i = 1;
+        # the wrap rows at i = 0 and i = m - 1 are re-sorted and share nothing
+        for m in range(3, 13):
+            for parts in compositions(m):
+                seq = profile_to_sequence(parts)
+                bits, nb = seq.bits, build_qw(seq).neighbors
+                for i in range(m):
+                    twins = bits[i - 1] == bits[i] == 1 and 0 < i < m - 1
+                    assert (nb[i] is nb[m + i]) == twins, (parts, i)
+                    assert (nb[i] == nb[m + i]) == (bits[i - 1] == bits[i] == 1), (parts, i)
+
     def test_memory_bounded_by_output(self):
         # m = 30000: an edge list and a set per vertex peaked at 30.4 MiB for
-        # the 10.2 MiB the graph keeps
-        seq = profile_to_sequence((3,) * 10000)
-        tracemalloc.start()
-        try:
-            g = build_qw(seq)
-            kept, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert g.n == 60000
-        assert peak <= 1.5 * kept
-        assert kept <= 10.2 * 2**20
+        # the graph.  With a tuple per vertex the graph kept 6.4 MiB on both
+        # profiles; a twin pair's shared tuple makes that 5.7 MiB when one
+        # block in 3 is a twin pair and 4.4 MiB when 17 in 19 are, and the
+        # peak reads about 1.2 times what is kept
+        for parts, kept_mib in [((3,) * 10000, 6.0), ((19,) * 1578 + (11, 7), 4.8)]:
+            seq = profile_to_sequence(parts)
+            tracemalloc.start()
+            try:
+                g = build_qw(seq)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert g.n == 60000
+            assert peak <= 1.5 * kept, parts
+            assert kept <= kept_mib * 2**20, parts
 
 
 class TestSegments:
@@ -227,6 +243,24 @@ class TestSegments:
         segs = segments(seq)
         assert sum(s.length for s in segs) == seq.m
         assert len(segs) == seq.bits.count(0)
+
+    def test_segments_returns_a_new_list(self):
+        seq = profile_to_sequence((5, 3))
+        segs = segments(seq)
+        segs.append(segs[0])
+        segs[0] = None
+        assert [s.length for s in segments(seq)] == [5, 3]
+        assert segments(seq) == list(seq.segments)
+
+    def test_kept_segments_leave_equality_hash_and_repr(self):
+        seq, twin = profile_to_sequence((5, 3, 7)), profile_to_sequence((5, 3, 7))
+        assert seq.segments is seq.segments  # scanned once, then kept
+        assert "segments" in vars(seq) and "segments" not in vars(twin)
+        assert seq == twin and hash(seq) == hash(twin) and repr(seq) == repr(twin)
+        assert repr(seq) == "QWSequence(bits=(0, 1, 1, 1, 1, 0, 1, 1, 0, 1, 1, 1, 1, 1, 1))"
+        assert seq != profile_to_sequence((5, 7, 3))
+        with pytest.raises(AttributeError):
+            seq.segments = ()
 
     def test_segment_is_an_immutable_record(self):
         (s, t) = segments(profile_to_sequence((5, 7)))
