@@ -8,7 +8,8 @@ NotFound), 2 usage or input error.  `filter` reports RuledOut in its TSV
 rows and exits 0; it checks every line before it prints any row, and a
 malformed or irregular line, or one of odd valency, makes it print no rows
 and exit 2, naming the line's 1-based number.  `census` with an odd valency
-prints nothing and exits 2.
+prints nothing and exits 2.  A closed stdout (a broken pipe, as under
+`| head -1`) ends any subcommand with exit 2 and nothing on stderr.
 """
 
 from __future__ import annotations
@@ -197,10 +198,7 @@ def _cmd_expand(args) -> int:
     g = _read_graph(args.graph)
     lab, _ = _read_labeling(args.labels)
     if args.cycle:
-        try:
-            verts = tuple(int(tok) for tok in args.cycle.split(","))
-        except ValueError:
-            verts = ()
+        verts = tuple(map(int, args.cycle.split(","))) if qw._DECIMALS.fullmatch(args.cycle) else ()
         if len(verts) != 4:
             raise DmlabError("--cycle needs exactly four comma-separated vertices")
         g2, lab2 = kfk.expand(g, lab, kfk.ZeroAntipodal4Cycle(verts))

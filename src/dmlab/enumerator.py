@@ -11,13 +11,14 @@ is dropped first) and one twin rule (row v takes twins, touched vertices with
 equal neighbour sets, in index order).  The counts match OEIS through order
 13, the largest order accepted.
 
-Kept leaves are told apart by a key: graph.py's certificate search started
-from the cells of equal vertex invariant, in ascending order, which the pass
-that checks vertex 0 returns.  The cells are an isomorphism invariant, so
-every automorphism maps each onto itself (the search's twin rule and
-backjump need this) and keys are equal exactly when the graphs are isomorphic.
-The first leaf of each class is thus found as with the canonical certificate,
-which enumerate_regular runs once per class and the census once per candidate.
+Both keys are graph.py's _least_key.  A kept leaf starts from the cells of
+equal vertex invariant, in ascending order, which the pass that checks vertex
+0 returns: an isomorphism invariant, so every automorphism maps each cell onto
+itself (the twin rule and backjump need this) and keys are equal exactly when
+the graphs are isomorphic, as with the canonical certificate that
+enumerate_regular runs once per class and the census once per candidate.  A
+partial graph starts from [[0], rest], which keeps 0 first: keys are equal
+exactly when an isomorphism fixing 0 maps one graph onto the other.
 
 Nothing is lost.  Take any graph of the class and call a vertex of largest
 invariant (_vertex_invariant, unchanged by relabeling) 0, its neighbours 1..r
@@ -39,10 +40,9 @@ final, and adding edges never lowers any vertex's count.  A vertex with more
 triangles than 0 has more in every leaf below the node, and the invariant
 compares triangles first, so no such leaf passes the leaf quotient.  A
 dropped node is not added to walked; a later node at its row with the same
-rooted certificate is isomorphic to it with 0 fixed, so it holds such a
-vertex too and is dropped by the same test.  The yields and their order are
-therefore unchanged.  Testing at every row cut more leaves but cost more
-than it saved.
+key is isomorphic to it with 0 fixed, so it holds such a vertex too and is
+dropped by the same test.  The yields and their order are therefore
+unchanged.  Testing at every row cut more leaves but cost more than it saved.
 
 Nor does the twin rule lose anything.  Row v joins v to a set S of touched
 vertices (above v, below fresh) and to the next fresh ones.  Two touched
@@ -116,7 +116,7 @@ def _classes(task: EnumerationTask) -> Iterator[Graph]:
         adj[v].add(0)
 
     seen = set()  # leaf keys of the classes yielded
-    walked = set()  # (row, certificate rooted at 0) of the partial graphs walked
+    walked = set()  # (row, key rooted at 0) of the partial graphs walked
 
     def leaf():
         cells = _root_cells(adj)
@@ -143,7 +143,7 @@ def _classes(task: EnumerationTask) -> Iterator[Graph]:
                     return  # no count falls as edges are added, so no leaf below is kept
             # only vertices below fresh have edges, so adj[:fresh] is a graph
             partial = Graph._from_neighbors(tuple(tuple(sorted(a)) for a in adj[:fresh]))
-            key = (v, canonical_certificate(partial, root=0))
+            key = (v, _least_key(partial, [[0], list(range(1, fresh))] if fresh > 1 else [[0]]))
             if key in walked:
                 return  # an isomorphic partial graph, vertex 0 fixed, was walked at this row
             walked.add(key)

@@ -32,8 +32,8 @@ class Graph:
     __slots__ = ("n", "neighbors")
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]]):
-        if n < 1:
-            raise ValueError(f"graph order must be >= 1, got {n}")
+        if type(n) is not int or n < 1:  # True would be the order; 2.0 fails in range()
+            raise ValueError(f"graph order must be >= 1 and an exact int, got {n!r}")
         nbrs = [set() for _ in range(n)]
         for u, v in edges:
             # a bool would end up in the neighbour tuples; a float fails as an index
@@ -206,11 +206,9 @@ def _pack_graph6(n: int, bits) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Canonical certificate via individualization-refinement.  The certificate of
-# a graph is the graph6 line of its canonically relabeled copy, as bytes, so
-# equal certificates <=> isomorphic graphs.  The search skips a twin's subtree,
-# and on reaching a leaf whose key equals the least one it leaves the subtree
-# it is in; both skip only keys already seen, so this holds at every order.
+# Canonical certificate via individualization-refinement: the graph6 line, as
+# bytes, of the least relabeled copy the search finds.  Its two prunings skip
+# only keys already seen, so equal certificates <=> isomorphic graphs.
 # ---------------------------------------------------------------------------
 
 def _refine(neighbors, partition):
@@ -244,44 +242,36 @@ def _refine(neighbors, partition):
 
 
 def _adjacency_key(adj_sets, order):
-    """Upper-triangle bit list, column-major, of the graph relabeled so order[i] -> i."""
-    bits = []
-    for j in range(1, len(order)):
-        oj = order[j]
-        for i in range(j):
-            bits.append(1 if order[i] in adj_sets[oj] else 0)
-    return bits
+    """graph6 line of the graph relabeled so order[i] -> i.  Keys of one order
+    have one length, so comparing lines compares their column-major bits."""
+    return _pack_graph6(
+        len(order), (order[i] in adj_sets[oj] for j, oj in enumerate(order) for i in range(j))
+    )
 
 
-def canonical_certificate(g: Graph, root: int | None = None) -> bytes:
-    """Isomorphism-invariant certificate, exact at every order.
-
-    It is the graph6 line of the least adjacency key over the search tree.  A
-    node skips a child that is a twin of a child already tried, since swapping
-    the two maps one subtree onto the other (K_n costs one leaf).  A leaf whose
-    key equals the least one gives an automorphism that maps the least leaf's
-    branch onto the current one where their paths part, so the search goes
-    back up to that node and on with its next child.  With a root the
-    search starts from [[root], rest], which keeps the root first in every
-    ordering: certificates of (g, a) and (h, b) are equal iff some isomorphism
-    g -> h maps a to b.
-    """
-    if root is None:
-        return _least_key(g, [list(range(g.n))])  # the first refinement splits it by degree
-    if not 0 <= root < g.n:
-        raise ValueError(f"root {root} out of range for order {g.n}")
-    rest = [v for v in range(g.n) if v != root]
-    return _least_key(g, [[root], rest] if rest else [[root]])
+def canonical_certificate(g: Graph) -> bytes:
+    """Isomorphism-invariant certificate, exact at every order: the least key of
+    the search started from one cell, which the first refinement splits by
+    degree.  Equal certificates <=> isomorphic graphs."""
+    return _least_key(g, [list(range(g.n))])
 
 
 def _least_key(g: Graph, start) -> bytes:
-    """graph6 line of the least adjacency key over the search tree that starts
-    from the ordered partition start.  Pruning holds for any start, since every
-    automorphism a prune relies on maps each cell of start onto itself: a twin
-    swap stays inside one cell, and a map between two leaf orders, both of
-    which refine start, keeps each position.  Equal keys mean isomorphic
-    graphs; a start built by an isomorphism invariant gives isomorphic graphs
-    equal keys."""
+    """graph6 line, as bytes, of the least adjacency key over the search tree
+    that starts from the ordered partition start.
+
+    A node skips a child that is a twin of a child already tried, since
+    swapping the two maps one subtree onto the other (K_n costs one leaf).  A
+    leaf whose key equals the least one gives an automorphism that maps the
+    least leaf's branch onto the current one where their paths part, so the
+    search goes back up to that node and on with its next child.  Pruning
+    holds for any start, since every automorphism a prune relies on maps each
+    cell of start onto itself: a twin swap stays inside one cell, and a map
+    between two leaf orders, both of which refine start, keeps each position.
+    Equal keys mean isomorphic graphs; a start built by an isomorphism
+    invariant gives isomorphic graphs equal keys.  A vertex alone in the first
+    cell of start stays first in every ordering, so keys from [[a], rest] of g
+    and [[b], rest] of h are equal iff some isomorphism g -> h maps a to b."""
     if g.n > CERTIFICATE_MAX_ORDER:
         raise OrderTooLargeError(
             f"canonical certificate is limited to order {CERTIFICATE_MAX_ORDER}, got {g.n}; "
@@ -333,4 +323,4 @@ def _least_key(g: Graph, start) -> bytes:
         return depth
 
     descend(start)
-    return _pack_graph6(g.n, best).encode("ascii")
+    return best.encode("ascii")

@@ -34,6 +34,8 @@ class _Labeling:
     labels: Tuple[int, ...]
 
     def __post_init__(self):
+        if type(self.order) is not int:  # True or 2.0 would reach JSON as true or 2.0
+            raise DmlabError(f"labeling order must be an exact int, got {self.order!r}")
         if len(self.labels) != self.order:
             raise OrderMismatchError(f"{len(self.labels)} labels for order {self.order}")
 

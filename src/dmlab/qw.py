@@ -14,6 +14,7 @@ constructive labeling all read them.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import List, NamedTuple, Optional, Sequence, Tuple
@@ -62,13 +63,16 @@ def validate_sequence(bits: Sequence[int]) -> QWSequence:
     return QWSequence(bits)
 
 
+# comma-separated decimals, each an optional minus and ASCII digits with spaces
+# around it; int() alone also takes "1_1", "+3" and full-width digits
+_DECIMALS = re.compile(r"\s*-?[0-9]+\s*(,\s*-?[0-9]+\s*)*")
+
+
 def parse_profile(text: str) -> Tuple[int, ...]:
     """Parse the CLI profile syntax, e.g. "11,3,5,3,7,5,3"."""
-    try:
-        parts = tuple(int(tok) for tok in text.split(","))
-    except ValueError:
-        raise InvalidSequenceError(f"malformed profile {text!r}") from None
-    return parts
+    if not _DECIMALS.fullmatch(text):
+        raise InvalidSequenceError(f"malformed profile {text!r}")
+    return tuple(map(int, text.split(",")))
 
 
 def profile_to_sequence(parts: Sequence[int]) -> QWSequence:

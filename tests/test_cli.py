@@ -12,6 +12,7 @@ import pytest
 
 import dmlab
 from dmlab.cli import EXIT_ERROR, EXIT_NEGATIVE, EXIT_OK, main
+from dmlab.enumerator import EnumerationTask, enumerate_regular
 from dmlab.graph import Graph, canonical_certificate, parse_graph6, write_graph6
 from dmlab.labeling import (
     CenteredLabeling,
@@ -60,6 +61,18 @@ class TestQw:
         code, _, err = run(capsys, "qw", "build", "--profile", "3,x")
         assert code == EXIT_ERROR
         assert "dmlab:" in err
+
+    @pytest.mark.parametrize("profile", ["1_1,3,5,3,7,5,3", "+3,+3", "\uff13,\uff13", "3,,3", "3;3"])
+    @pytest.mark.parametrize("command", ["build", "classify"])
+    def test_profile_of_non_decimal_tokens_exit_2(self, capsys, command, profile):
+        # int() alone takes "1_1" as 11, a plus sign and full-width digits
+        code, out, err = run(capsys, "qw", command, "--profile", profile)
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err == f"dmlab: malformed profile {profile!r}\n"
+
+    def test_profile_tokens_may_have_spaces_around(self, capsys):
+        assert run(capsys, "qw", "build", "--profile", " 3 , 3 ") == run(capsys, "qw", "build", "--profile", "3,3")
 
     def test_bad_sequence_exit_2(self, capsys):
         code, _, _ = run(capsys, "qw", "build", "--sequence", "001")
@@ -554,6 +567,23 @@ class TestExpand:
         assert out == ""
         assert err.startswith("dmlab: --cycle needs exactly four")
 
+    @pytest.mark.parametrize("cycle", ["0,1_1,2,3", "+0,1,2,3", "0,\uff11,2,3", "0,1.0,2,3"])
+    def test_cycle_of_non_decimal_tokens_exit_2(self, capsys, tmp_path, cycle):
+        graph_file = tmp_path / "g.g6"
+        graph_file.write_text(write_graph6(build_wreath(3)) + "\n")
+        labels_file = tmp_path / "labels.json"
+        labels_file.write_text(labeling_to_json(wreath_labeling(3)))
+        code, out, err = run(
+            capsys,
+            "expand",
+            "--graph", str(graph_file),
+            "--labels", str(labels_file),
+            f"--cycle={cycle}",
+        )
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err.startswith("dmlab: --cycle needs exactly four")
+
     @pytest.mark.parametrize("cycle, edge", [("99,1,2,3", "(99,1)"), ("-1,0,1,2", "(-1,0)")])
     def test_cycle_vertex_out_of_range_exit_2(self, capsys, tmp_path, cycle, edge):
         graph_file = tmp_path / "g.g6"
@@ -639,6 +669,31 @@ class TestParsing:
 
     def test_help_exit_0(self, capsys):
         assert run(capsys, "--help")[0] == EXIT_OK
+
+    def test_broken_pipe_exit_2(self, capsys, monkeypatch):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["enumerate", "--order", "10"]) == EXIT_ERROR
+        assert capsys.readouterr().err == ""
+
+    def test_head_closes_the_pipe(self):
+        # `dmlab enumerate --order 10 | head -1`: the reader leaves after the
+        # first of 60 lines, which the unbuffered child writes as it finds them
+        src = Path(dmlab.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONUNBUFFERED": "1"}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "dmlab", "enumerate", "--order", "10"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == EXIT_ERROR
+        assert first == write_graph6(next(enumerate_regular(EnumerationTask(10, connected=False)))).encode() + b"\n"
+        assert err == b""
 
 
 def readme_cli_examples():

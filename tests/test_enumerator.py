@@ -65,19 +65,21 @@ UNSORTED_CONNECTED_ORDER_SHA256 = {
 def _count_certificates(monkeypatch):
     """Log each certificate the enumerator asks for: "leaf" for the key of a
     kept leaf, "class" for the canonical form of a new class and "rooted" for
-    a partial graph at the rows of vertex 0's neighbours."""
+    a partial graph at the rows of vertex 0's neighbours.  The two keys are
+    told apart by their start: a rooted key's first cell is [0], while a
+    leaf's cells end with the cell of vertex 0, of largest invariant."""
     calls = []
 
-    def canonical(g, root=None):
-        calls.append("class" if root is None else "rooted")
-        return canonical_certificate(g, root=root)
+    def canonical(g):
+        calls.append("class")
+        return canonical_certificate(g)
 
-    def leaf_key(g, start):
-        calls.append("leaf")
+    def least_key(g, start):
+        calls.append("rooted" if start[0] == [0] else "leaf")
         return _least_key(g, start)
 
     monkeypatch.setattr(enumerator, "canonical_certificate", canonical)
-    monkeypatch.setattr(enumerator, "_least_key", leaf_key)
+    monkeypatch.setattr(enumerator, "_least_key", least_key)
     return calls
 
 
@@ -263,19 +265,19 @@ class TestOutputProperties:
         # the walk hands its adjacency sets to the trusting Graph constructor;
         # rebuilding each graph from its edges through the validating one must
         # give the same neighbour tuples: sorted, symmetric, loop-free, in range
-        calls = []
+        rooted = []  # per key: whether its start is a partial graph's [[0], rest]
 
-        def checked(g, root=None):
-            calls.append(root)
+        def checked(g, start):
+            rooted.append(start[0] == [0])
             assert all(type(nb) is tuple for nb in g.neighbors)
             assert Graph(g.n, g.edges) == g
-            return canonical_certificate(g, root=root)
+            return _least_key(g, start)
 
-        monkeypatch.setattr(enumerator, "canonical_certificate", checked)
+        monkeypatch.setattr(enumerator, "_least_key", checked)
         for n, classes in ((8, 6), (10, 59)):
-            calls.clear()
+            rooted.clear()
             assert sum(1 for _ in enumerate_regular(EnumerationTask(n))) == classes
-            assert None in calls and 0 in calls  # leaves and partial graphs
+            assert True in rooted and False in rooted  # partial graphs and leaves
 
     def test_wreath_appears(self):
         for k in (3, 4, 5):

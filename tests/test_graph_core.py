@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -142,8 +143,8 @@ def _symmetric_graphs():
     return out
 
 
-# SHA-256 of canonical_certificate over _symmetric_graphs(), unrooted and
-# rooted at 0, recorded while the certificate cost about |Aut| leaves on them
+# SHA-256 of canonical_certificate and _rooted_key(g, 0) over
+# _symmetric_graphs(), recorded while the certificate cost about |Aut| leaves on them
 # (four 5-cycles alone took about 15 s); leaving a subtree on a leaf whose key
 # equals the least one must not change a byte
 SYMMETRIC_PIN_SHA256 = "777a71cdfe78c7a51d1624364e6313b57a214c08a72aef9ad319617fd8a1bc65"
@@ -246,6 +247,12 @@ class TestGraph:
     def test_rejects_order_0(self):
         with pytest.raises(ValueError, match="order must be >= 1"):
             Graph(0, [])
+
+    @pytest.mark.parametrize("n,edges", [(True, []), (False, []), (2.0, [(0, 1)]), ("3", []), (Fraction(3), [])])
+    def test_rejects_order_that_is_not_an_int(self, n, edges):
+        # True would be the order; 2.0 and "3" failed in range() with a bare TypeError
+        with pytest.raises(ValueError, match=re.escape(f"got {n!r}")):
+            Graph(n, edges)
 
     def test_relabel_needs_a_permutation(self):
         g = Graph(3, [(0, 1), (1, 2)])
@@ -472,7 +479,7 @@ class TestCertificate:
     def test_symmetric_bytes_pinned(self):
         graphs = _symmetric_graphs()
         assert len(graphs) == 66
-        certs = [c for g in graphs for c in (canonical_certificate(g), canonical_certificate(g, root=0))]
+        certs = [c for g in graphs for c in (canonical_certificate(g), _rooted_key(g, 0))]
         assert _digest(certs) == SYMMETRIC_PIN_SHA256
 
     def test_symmetric_invariant_under_relabeling(self):
@@ -504,14 +511,15 @@ class TestCertificate:
         # ones 124 (rooted or not, relabeled or not).  Without the backjump four
         # 5-cycles take 240,000 leaves
         budget = _leaf_budget(monkeypatch)
+        keys = (canonical_certificate, lambda g: _rooted_key(g, 0))
         for g in (Graph(20, itertools.combinations(range(20), 2)), Graph(20, [])):
-            for root in (None, 0):
+            for key in keys:
                 budget[0] = 1
-                canonical_certificate(g, root)
+                key(g)
         for g in _symmetric_graphs():
-            for root in (None, 0):
+            for key in keys:
                 budget[0] = 64
-                canonical_certificate(g, root)
+                key(g)
         # Shrikhande and the 4 x 4 rook's graph are both srg(16, 6, 2, 2), so
         # refinement splits neither; Clebsch, Paley and Kneser graphs are
         # vertex-transitive and refinement splits none of them either
@@ -586,6 +594,13 @@ class TestSeededCertificate:
             assert _leaf_key(relabel(rook, seed)) == _leaf_key(rook)
 
 
+def _rooted_key(g, root):
+    """The certificate search started from [[root], rest]: the enumerator's
+    key of a walked partial graph, whose root is 0."""
+    rest = [v for v in range(g.n) if v != root]
+    return _least_key(g, [[root], rest] if rest else [[root]])
+
+
 def _rooted_form(g, root):
     """Least sorted edge list over every relabeling that sends root to 0 (brute force)."""
     others = [v for v in range(g.n) if v != root]
@@ -600,9 +615,12 @@ def _rooted_form(g, root):
 
 
 class TestRootedCertificate:
+    # the enumerator's walked rejection rests on this: the rooted keys of
+    # (g, 0) and (h, 0) are equal iff some isomorphism g -> h fixes 0
+
     def test_matches_brute_force_rooted_isomorphism(self, rng):
-        # equal rooted certificates <=> an isomorphism maps one root to the
-        # other; the relabeled copies make the equal cases common
+        # equal rooted keys <=> an isomorphism maps one root to the other;
+        # the relabeled copies make the equal cases common
         graphs = []
         for seed, n in enumerate((1, 2, 3, 4, 4, 5, 5, 6, 6, 6, 7, 7, 7, 7)):
             g = random_graph(rng, n, (0.3, 0.5)[seed % 2])
@@ -610,18 +628,18 @@ class TestRootedCertificate:
         form_of, cert_of = {}, {}
         for g in graphs:
             for root in range(g.n):
-                cert, form = canonical_certificate(g, root=root), _rooted_form(g, root)
+                cert, form = _rooted_key(g, root), _rooted_form(g, root)
                 assert form_of.setdefault(cert, form) == form
                 assert cert_of.setdefault(form, cert) == cert
         assert len(cert_of) < sum(g.n for g in graphs)
 
     def test_symmetric_matches_brute_force(self):
         # Q3, C8 and C8(1, 3) = K_{4,4} are vertex-transitive: every root must
-        # give one certificate, and the graph it encodes, rooted at 0, must be
-        # the root's brute-force rooted form
+        # give one key, and the graph it encodes, rooted at 0, must be the
+        # root's brute-force rooted form
         for g in (_hypercube(3), _cycles(1, 8), _circulant(8, (1, 3))):
             form = _rooted_form(g, 0)
-            certs = {canonical_certificate(g, root=root) for root in range(g.n)}
+            certs = {_rooted_key(g, root) for root in range(g.n)}
             assert all(_rooted_form(g, root) == form for root in range(1, g.n))
             assert len(certs) == 1
             assert _rooted_form(parse_graph6(certs.pop().decode("ascii")), 0) == form
@@ -630,10 +648,6 @@ class TestRootedCertificate:
         for _ in range(20):
             g = random_graph(rng, rng.randint(2, 12))
             root = rng.randrange(g.n)
-            h = parse_graph6(canonical_certificate(g, root=root).decode("ascii"))
+            h = parse_graph6(_rooted_key(g, root).decode("ascii"))
             assert sorted(map(len, h.neighbors)) == sorted(map(len, g.neighbors))
             assert h.degree(0) == g.degree(root)
-
-    def test_root_out_of_range(self):
-        with pytest.raises(ValueError):
-            canonical_certificate(OCTAHEDRON, root=6)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -377,6 +378,28 @@ class TestJson:
         doc[field] = value
         with pytest.raises(DmlabError):
             labeling_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("cls", [CenteredLabeling, StandardLabeling])
+    @pytest.mark.parametrize("order", [True, False, 1.0, 2.0, Fraction(2), "2"])
+    def test_order_that_is_not_an_int_rejected(self, cls, order):
+        # True and 2.0 equal the number of labels, but labeling_to_json would
+        # write them as true and 2.0, which labeling_from_json refuses
+        with pytest.raises(DmlabError, match="labeling order must be an exact int"):
+            cls(order, (1,) * int(order))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_every_accepted_labeling_round_trips(self, data):
+        n = data.draw(st.integers(0, 8))
+        order = data.draw(st.sampled_from([n, float(n), Fraction(n), bool(n)]))
+        labels = tuple(data.draw(st.lists(st.integers(-99, 99), min_size=n, max_size=n)))
+        cls = data.draw(st.sampled_from([CenteredLabeling, StandardLabeling]))
+        try:
+            lab = cls(order, labels)
+        except DmlabError:
+            assert type(order) is not int
+            return
+        assert labeling_from_json(labeling_to_json(lab)) == lab
 
     def test_missing_schema_rejected(self):
         doc = json.loads(labeling_to_json(wreath_labeling(3)))

@@ -10,6 +10,8 @@ pass, so a kill is the mutant's doing and not the copy's.
 
 The enumerator's `walked` rejection and twin rule only save work, so their
 mutants are killed by the certificate-call pins of tests/test_enumerator.py.
+A walked key that does not keep vertex 0 apart rejects partial graphs that
+are isomorphic only by a map moving 0, and loses classes.
 The one rule still without a mutant here is the kfk result check, which is
 equivalent by construction.
 """
@@ -70,6 +72,12 @@ MUTANTS = {
         "if key in walked:",
         "if False:",
         ["tests/test_enumerator.py::TestOutputProperties::test_few_certificate_calls"],
+    ),
+    "walked-key-unrooted": (
+        "enumerator.py",
+        "[[0], list(range(1, fresh))] if fresh > 1 else [[0]]",
+        "[list(range(fresh))]",
+        ["tests/test_enumerator.py::TestCounts"],
     ),
     "twin-rule-never-skips": (
         "enumerator.py",
