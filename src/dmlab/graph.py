@@ -209,44 +209,67 @@ def _pack_graph6(n: int, bits) -> str:
 # Canonical certificate via individualization-refinement: the graph6 line, as
 # bytes, of the least relabeled copy the search finds.  Its two prunings skip
 # only keys already seen, so equal certificates <=> isomorphic graphs.
+# Refinement counts neighbours only in the cells that just split (McKay &
+# Piperno, Practical graph isomorphism II, 2014); leaf keys are compared as
+# ints, and only the least one is packed into graph6.
 # ---------------------------------------------------------------------------
 
-def _refine(neighbors, partition):
-    """Equitable refinement of an ordered partition (deterministic)."""
+def _refine(neighbors, partition, fresh=None):
+    """Equitable refinement of an ordered partition (deterministic).
+
+    The vertices of a cell agree on their neighbour counts in every cell but
+    those in fresh (indices; every cell when None).  Each round packs a
+    vertex's counts in the fresh cells into one int, a digit of n.bit_length()
+    bits per cell with earlier cells more significant, and splits each cell by
+    it, sub-cells in ascending order: the order of the full count vectors,
+    since a larger count in an earlier cell sorts higher in both.  A count is
+    below n, so no digit carries.  The sub-cells are the next round's fresh
+    cells."""
+    if fresh is None:
+        fresh = range(len(partition))
+    width = len(neighbors).bit_length()
     while True:
-        cell_id = {}
-        for ci, cell in enumerate(partition):
-            for v in cell:
-                cell_id[v] = ci
-        new = []
-        changed = False
-        for cell in partition:
-            if len(cell) == 1:
-                new.append(cell)
-                continue
-            by_sig = {}
-            for v in cell:
-                counts = [0] * len(partition)
+        sig = [0] * len(neighbors)
+        place = width * len(fresh)
+        for k in fresh:
+            place -= width
+            digit = 1 << place
+            for v in partition[k]:
                 for w in neighbors[v]:
-                    counts[cell_id[w]] += 1
-                by_sig.setdefault(tuple(counts), []).append(v)
-            if len(by_sig) == 1:
-                new.append(cell)
-            else:
-                changed = True
-                for sig in sorted(by_sig):
-                    new.append(by_sig[sig])
-        partition = new
-        if not changed:
+                    sig[w] += digit
+        new, fresh = [], []
+        for cell in partition:
+            if len(cell) > 1:
+                by_sig = {}
+                for v in cell:
+                    by_sig.setdefault(sig[v], []).append(v)
+                if len(by_sig) > 1:
+                    for s in sorted(by_sig):
+                        fresh.append(len(new))
+                        new.append(by_sig[s])
+                    continue
+            new.append(cell)
+        if not fresh:
             return partition
+        partition = new
 
 
-def _adjacency_key(adj_sets, order):
-    """graph6 line of the graph relabeled so order[i] -> i.  Keys of one order
-    have one length, so comparing lines compares their column-major bits."""
-    return _pack_graph6(
-        len(order), (order[i] in adj_sets[oj] for j, oj in enumerate(order) for i in range(j))
-    )
+def _adjacency_key(neighbors, order):
+    """Column-major upper-triangle bits of the graph relabeled so order[i] -> i,
+    as an int, first bit most significant.  Keys of one order have one bit
+    count, so comparing them compares their graph6 lines."""
+    position = [0] * len(order)
+    for i, v in enumerate(order):
+        position[v] = i
+    key = 0
+    for j, v in enumerate(order):
+        column = 0
+        for w in neighbors[v]:
+            i = position[w]
+            if i < j:
+                column |= 1 << (j - 1 - i)
+        key = key << j | column
+    return key
 
 
 def canonical_certificate(g: Graph) -> bytes:
@@ -279,20 +302,19 @@ def _least_key(g: Graph, start) -> bytes:
             "at every order"
         )
     neighbors = g.neighbors
-    adj_sets = [set(a) for a in neighbors]
-    closed = [tuple(sorted((*a, v))) for v, a in enumerate(neighbors)]
-
     best = best_path = None  # the least key, and the path to its leaf
     path = []  # the vertices individualised on the way to the current node
 
-    def descend(partition):
+    def descend(partition, fresh):
         """Walk the subtree of the node that path leads to; return the length of
         the path whose node goes on with its next child."""
         nonlocal best, best_path
-        partition = _refine(neighbors, partition)
-        target = next((i for i, c in enumerate(partition) if len(c) > 1), None)
-        if target is None:
-            key = _adjacency_key(adj_sets, [c[0] for c in partition])
+        partition = _refine(neighbors, partition, fresh)
+        for target, cell in enumerate(partition):
+            if len(cell) > 1:
+                break
+        else:
+            key = _adjacency_key(neighbors, [c[0] for c in partition])
             if best is None or key < best:
                 best, best_path = key, path[:]
             elif key == best:
@@ -304,23 +326,29 @@ def _least_key(g: Graph, start) -> bytes:
                 # keys of one already walked
                 return next(i for i, (u, w) in enumerate(zip(best_path, path)) if u != w)
             return len(path)
-        cell = partition[target]
         depth = len(path)
         tried_open, tried_closed = set(), set()
         for v in cell:
             # twins u, v have N(u) - {v} = N(v) - {u}: swapping them is an
             # automorphism fixing every cell, so v's subtree repeats u's keys
-            if neighbors[v] in tried_open or closed[v] in tried_closed:
+            closed = tuple(sorted((*neighbors[v], v)))
+            if neighbors[v] in tried_open or closed in tried_closed:
                 continue
             tried_open.add(neighbors[v])
-            tried_closed.add(closed[v])
+            tried_closed.add(closed)
             rest = [w for w in cell if w != v]
             path.append(v)
-            resume = descend(partition[:target] + [[v], rest] + partition[target + 1:])
+            # the parent is equitable, so only the two new cells can split others
+            child = partition[:target] + [[v], rest] + partition[target + 1:]
+            resume = descend(child, (target, target + 1))
             path.pop()
             if resume < depth:
                 return resume
         return depth
 
-    descend(start)
-    return best.encode("ascii")
+    descend(start, None)
+    # short form, since n <= CERTIFICATE_MAX_ORDER: the bits padded with zeros
+    # to whole 6-bit groups, most significant group first
+    groups = _g6_body_length(g.n)
+    best <<= 6 * groups - g.n * (g.n - 1) // 2
+    return bytes([63 + g.n, *(63 + (best >> 6 * k & 63) for k in reversed(range(groups)))])

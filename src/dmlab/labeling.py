@@ -159,11 +159,11 @@ SCHEMES = {cls.scheme: cls for cls in (CenteredLabeling, StandardLabeling)}
 
 
 def labeling_to_json(lab) -> str:
+    """The labeling's document; its labels must be exact ints, as the reader requires."""
     if not isinstance(lab, SCHEMES.get(getattr(lab, "scheme", None), ())):
         raise TypeError(f"not a labeling: {lab!r}")
-    return json.dumps(
-        {"schema": SCHEMA, "order": lab.order, "scheme": lab.scheme, "labels": lab.labels}
-    )
+    labels = _exact_ints(lab.labels, "labeling not written")
+    return json.dumps({"schema": SCHEMA, "order": lab.order, "scheme": lab.scheme, "labels": labels})
 
 
 def labeling_from_json(text: str):
@@ -174,9 +174,9 @@ def labeling_from_json(text: str):
         raise DmlabError(f"malformed labeling JSON: {exc}") from None
     try:
         schema = doc["schema"]
-        (order,) = _exact_ints((doc["order"],))
+        (order,) = _exact_ints((doc["order"],), "bad labeling document")
         scheme = doc["scheme"]
-        labels = _exact_ints(doc["labels"])
+        labels = _exact_ints(doc["labels"], "bad labeling document")
     except (KeyError, TypeError) as exc:
         raise DmlabError(f"bad labeling document: {exc}") from None
     if schema != SCHEMA:
@@ -187,11 +187,11 @@ def labeling_from_json(text: str):
     return cls(order, labels)
 
 
-def _exact_ints(values) -> Tuple[int, ...]:
+def _exact_ints(values, context: str) -> Tuple[int, ...]:
     """values as a tuple, if every one is an exact int, checked in one pass over their types."""
     values = tuple(values)
     # bool is an int subclass, and floats such as 1.9 or Infinity must not round
     if not set(map(type, values)) <= {int}:
         bad = next(x for x in values if type(x) is not int)
-        raise DmlabError(f"bad labeling document: {bad!r} is not an integer")
+        raise DmlabError(f"{context}: {bad!r} is not an integer")
     return values

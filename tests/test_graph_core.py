@@ -17,7 +17,10 @@ from dmlab.enumerator import _root_cells, _vertex_invariant
 from dmlab.errors import Graph6Error, OrderTooLargeError
 from dmlab.graph import (
     Graph,
+    _adjacency_key,
     _least_key,
+    _pack_graph6,
+    _refine,
     canonical_certificate,
     is_connected,
     is_regular,
@@ -193,11 +196,11 @@ def _leaf_budget(monkeypatch):
     budget = [0]
     key = dmlab.graph._adjacency_key
 
-    def counted(adj_sets, order):
+    def counted(neighbors, order):
         budget[0] -= 1
         if budget[0] < 0:
             raise AssertionError("the certificate's search passed its leaf budget")
-        return key(adj_sets, order)
+        return key(neighbors, order)
 
     monkeypatch.setattr(dmlab.graph, "_adjacency_key", counted)
     return budget
@@ -541,6 +544,92 @@ class TestCertificate:
 
     def test_wreath3_is_octahedron(self):
         assert canonical_certificate(build_wreath(3)) == canonical_certificate(OCTAHEDRON)
+
+
+def _full_refine(neighbors, partition):
+    """Reference refinement: each round recounts every vertex's neighbours in
+    every cell and splits each cell by its count vectors, in ascending order."""
+    while True:
+        cell_id = {v: ci for ci, cell in enumerate(partition) for v in cell}
+        new = []
+        for cell in partition:
+            by_counts = {}
+            for v in cell:
+                counts = [0] * len(partition)
+                for w in neighbors[v]:
+                    counts[cell_id[w]] += 1
+                by_counts.setdefault(tuple(counts), []).append(v)
+            new.extend(by_counts[c] for c in sorted(by_counts))
+        if len(new) == len(partition):
+            return partition
+        partition = new
+
+
+def _random_partition(rng, n):
+    """The vertices 0..n-1 shuffled and cut into ordered cells."""
+    vertices = list(range(n))
+    rng.shuffle(vertices)
+    cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1))) if n > 1 else []
+    return [vertices[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
+
+
+def _graph6_key(g, order):
+    """The graph6 line of g relabeled so order[i] -> i, from its column-major bits."""
+    adj = [set(a) for a in g.neighbors]
+    return _pack_graph6(g.n, (order[i] in adj[oj] for j, oj in enumerate(order) for i in range(j)))
+
+
+class TestRefine:
+    # _refine counts only in the cells the last round made; the full recount
+    # must give the same partition, cell order included
+
+    def test_matches_full_recount_from_any_start(self, rng):
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(1, 16), rng.random())
+            start = _random_partition(rng, g.n)
+            assert _refine(g.neighbors, start) == _full_refine(g.neighbors, start)
+
+    def test_matches_full_recount_on_children(self, rng):
+        # a child [v], rest of an equitable partition refines against its two
+        # new cells only; walk one random path from each start to a leaf
+        for _ in range(200):
+            g = random_graph(rng, rng.randint(2, 16), rng.random())
+            partition = _full_refine(g.neighbors, _random_partition(rng, g.n))
+            while len(partition) < g.n:
+                t = rng.choice([i for i, cell in enumerate(partition) if len(cell) > 1])
+                v = rng.choice(partition[t])
+                child = partition[:t] + [[v], [w for w in partition[t] if w != v]] + partition[t + 1:]
+                partition = _refine(g.neighbors, child, (t, t + 1))
+                assert partition == _full_refine(g.neighbors, child)
+
+    def test_symmetric_graphs_match_full_recount(self):
+        # refinement splits none of these regular graphs from one cell, and
+        # individualising a vertex splits them in several rounds
+        for g in _symmetric_graphs():
+            one = [list(range(g.n))]
+            assert _refine(g.neighbors, one) == _full_refine(g.neighbors, one)
+            child = [[0], list(range(1, g.n))]
+            assert _refine(g.neighbors, child, (0, 1)) == _full_refine(g.neighbors, child)
+
+
+class TestAdjacencyKey:
+    def test_int_keys_order_as_graph6_lines(self, rng):
+        for _ in range(100):
+            g = random_graph(rng, rng.randint(1, 16), rng.random())
+            orders = [rng.sample(range(g.n), g.n) for _ in range(8)]
+            keys = [_adjacency_key(g.neighbors, order) for order in orders]
+            lines = [_graph6_key(g, order) for order in orders]
+            for a, b in itertools.combinations(range(len(orders)), 2):
+                assert (keys[a] < keys[b], keys[a] == keys[b]) == (lines[a] < lines[b], lines[a] == lines[b])
+
+    def test_least_key_packs_as_graph6(self, rng):
+        # a discrete start has one leaf, whose order is the start's
+        assert _least_key(Graph(1, []), [[0]]) == b"@"
+        for n in range(1, 21):
+            for p in (0.0, 0.3, 0.7, 1.0):
+                g = random_graph(rng, n, p)
+                order = rng.sample(range(n), n)
+                assert _least_key(g, [[v] for v in order]) == _graph6_key(g, order).encode("ascii")
 
 
 def _leaf_key(g):

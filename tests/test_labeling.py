@@ -392,14 +392,31 @@ class TestJson:
     def test_every_accepted_labeling_round_trips(self, data):
         n = data.draw(st.integers(0, 8))
         order = data.draw(st.sampled_from([n, float(n), Fraction(n), bool(n)]))
-        labels = tuple(data.draw(st.lists(st.integers(-99, 99), min_size=n, max_size=n)))
+        labels = data.draw(st.lists(st.integers(-99, 99), min_size=n, max_size=n))
+        retype = data.draw(st.sampled_from([None, float, Fraction, bool]))
+        if retype and n:  # one label of another type, equal to an int or not
+            i = data.draw(st.integers(0, n - 1))
+            labels[i] = retype(labels[i])
+        labels = tuple(labels)
         cls = data.draw(st.sampled_from([CenteredLabeling, StandardLabeling]))
         try:
             lab = cls(order, labels)
         except DmlabError:
             assert type(order) is not int
             return
-        assert labeling_from_json(labeling_to_json(lab)) == lab
+        try:
+            doc = labeling_to_json(lab)
+        except DmlabError:  # the writer refuses what the reader would refuse
+            assert any(type(x) is not int for x in labels)
+            return
+        assert labeling_from_json(doc) == lab
+
+    @pytest.mark.parametrize("label", [1.0, True, Fraction(1), "1"])
+    def test_label_that_is_not_an_int_not_written(self, label):
+        # json.dumps would write 1.0 or true, which labeling_from_json refuses
+        lab = CenteredLabeling(6, (label, 3, 5, -3, -1, -5))
+        with pytest.raises(DmlabError, match="is not an integer"):
+            labeling_to_json(lab)
 
     def test_missing_schema_rejected(self):
         doc = json.loads(labeling_to_json(wreath_labeling(3)))

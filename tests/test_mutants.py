@@ -207,9 +207,21 @@ MUTANTS = {
     ),
     "twin-test-open-half-only": (
         "graph.py",
-        "if neighbors[v] in tried_open or closed[v] in tried_closed:",
+        "if neighbors[v] in tried_open or closed in tried_closed:",
         "if neighbors[v] in tried_open:",
         ["tests/test_graph_core.py::TestCertificate::test_tree_size_bounded"],
+    ),
+    "refine-child-rest-only": (
+        "graph.py",
+        "descend(child, (target, target + 1))",
+        "descend(child, (target + 1,))",
+        ["tests/test_graph_core.py::TestCertificate::test_bytes_pinned"],
+    ),
+    "refine-sign-flipped": (
+        "graph.py",
+        "sig[w] += digit",
+        "sig[w] -= digit",
+        ["tests/test_graph_core.py::TestRefine", "tests/test_graph_core.py::TestCertificate::test_bytes_pinned"],
     ),
 }
 
